@@ -6,13 +6,7 @@ layers, losses and optimisers the architecture of Fig. 4 requires,
 each with hand-derived, gradient-checked backward passes.
 """
 
-from .conv_utils import (
-    col2im,
-    conv_output_size,
-    default_conv_matmul_mode,
-    im2col,
-    same_padding,
-)
+from .conv_utils import conv_output_size, same_padding
 from .gradcheck import (
     check_callable_gradients,
     check_loss_gradients,
@@ -59,11 +53,8 @@ __all__ = [
     "check_loss_gradients",
     "clip_gradient_norm",
     "check_module_gradients",
-    "col2im",
     "conv_output_size",
-    "default_conv_matmul_mode",
     "he_normal",
-    "im2col",
     "numerical_gradient",
     "same_padding",
     "softmax_probabilities",

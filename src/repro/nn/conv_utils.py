@@ -1,82 +1,36 @@
-"""im2col / col2im helpers for convolution layers.
+"""Convolution kernels behind :class:`repro.nn.layers.Conv2D`.
 
-Implemented with ``numpy.lib.stride_tricks`` so the forward im2col is a
-view-based gather followed by one big matmul — the only way a pure
-NumPy convolution is fast enough to train the paper's 12-conv-layer
-image branch on a CPU.
+SAME padding, NCHW in and out, weights as ``(C * k * k, O)`` rows in
+``(channel, kernel row, kernel col)`` order.  Two kernels, picked by
+geometry:
 
-The ``stride == kernel`` case (the Table 2 down-sampling convolutions,
-kernel 3 / stride 3) takes a non-overlapping fast path: patches tile
-the padded image exactly, so the gather is a plain ``reshape`` +
-``transpose`` — no strided window view, no padding copy when the size
-divides evenly, and the backward scatter-add collapses to one reshape
-because no two patches touch the same pixel.  Both paths are bit-exact
-with each other (see ``tests/nn/test_conv_utils.py``).
+* **stride == kernel** (the Table 2 down-sampling convolutions, kernel
+  3 / stride 3): patches tile the padded image exactly, so the patch
+  gather is a plain ``reshape`` + ``transpose`` feeding one gemm, and
+  the backward fold is one reshape because no two patches share a
+  pixel.
+* **any other stride** (the stride-1 convolutions, two thirds of the
+  tower): shift-and-accumulate.  The input is copied once into a
+  zero-padded channels-last ``(N, Hp, Wp, C)`` buffer, viewed as the
+  flat matrix ``X`` of shape ``(N * Hp * Wp, C)``.  Kernel tap
+  ``(i, j)`` then reads input row ``p + i * Wp + j`` for output row
+  ``p``, so the whole convolution is ``k * k`` contiguous gemms
+  ``X[off:off + R] @ W[:, i, j, :]`` accumulated into one output on the
+  same padded grid — no im2col copy, no col2im scatter.  Grid rows whose
+  window wraps past an image's right or bottom edge are junk and are
+  cropped away; a stride ``s`` output is the stride-1 grid subsampled
+  every ``s`` rows and columns.  The backward runs the transposed
+  products over the same offsets: ``X[off:off + R].T @ G`` for the
+  weight gradient and ``dX[off:off + R] += G @ W[:, i, j, :].T`` for
+  the input gradient, with the output gradient ``G`` zero on junk rows.
 
-The ``stride < kernel`` case (two thirds of the Table 2 tower) has a
-**blocked** execution mode: instead of materialising the full
-``ascontiguousarray(cols)`` copy — 9x the input for the stride-1
-layers — the conv matmul consumes the strided window view in blocks of
-whole images, copying one cache-sized block at a time and feeding it
-straight to the gemm.  Bit-exactness with the materialising reference
-mode is **structural**, not a BLAS accident: both modes partition the
-patch rows with the same :func:`images_per_block` schedule and issue
-identical per-block gemm calls (same shapes, same operand values, same
-accumulation order), so they produce identical bits on any BLAS.  A
-single full gemm over a differently-sized operand is *not* bit-stable
-on real BLAS builds (kernel dispatch depends on the matrix shape),
-which is why the reference mode shares the block schedule instead of
-calling one big matmul.
-
-Layout convention is NCHW throughout.
+Outputs and input gradients are channels-last in memory and returned as
+NCHW views, so a stack of convolutions never transposes an activation.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-# Target elements per cols block for the blocked stride<kernel matmul:
-# 256k f32 elements = 1 MiB, small enough to stay cache-resident while
-# the gemm consumes it, large enough to amortise the per-block call.
-_BLOCK_TARGET_ELEMS = 1 << 18
-
-# "auto" threshold: materialise the full cols array while it is at most
-# this many elements (~32 MiB f32).  Below it the one-shot gather is
-# faster (the blocked mode re-gathers windows in backward); above it
-# the cols copy thrashes cache/RSS and the blocked mode wins on both
-# time and peak memory (measured at the paper's 99x99 scale).
-_MATERIALIZE_LIMIT_ELEMS = 1 << 23
-
-_CONV_MATMUL_MODES = ("auto", "blocked", "reference")
-
-
-def default_conv_matmul_mode() -> str:
-    """Process-wide default for the stride<kernel conv execution mode.
-
-    ``REPRO_CONV_MATMUL`` can pin ``blocked`` (never materialise the
-    cols copy) or ``reference`` (always materialise — the parity oracle
-    and pre-blocking behaviour); anything else (including unset) keeps
-    ``auto``, which picks per call by cols size.  The choice never
-    affects numerics: all modes share the same block partition and so
-    produce identical bits.
-    """
-    mode = os.environ.get("REPRO_CONV_MATMUL", "auto")
-    return mode if mode in _CONV_MATMUL_MODES else "auto"
-
-
-def resolve_conv_matmul_mode(mode: str, total_rows: int, patch_len: int) -> str:
-    """Collapse ``"auto"`` to a concrete execution mode for one call.
-
-    Pure function of the logical cols shape, so a given call site is
-    deterministic — and either answer is bit-identical anyway.
-    """
-    if mode == "auto":
-        if total_rows * patch_len <= _MATERIALIZE_LIMIT_ELEMS:
-            return "reference"
-        return "blocked"
-    return mode
 
 
 def same_padding(in_size: int, kernel: int, stride: int) -> tuple[int, int]:
@@ -95,251 +49,107 @@ def conv_output_size(in_size: int, kernel: int, stride: int) -> int:
     return -(-in_size // stride)
 
 
-def _im2col_general(
-    x: np.ndarray, kernel: int, stride: int
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Overlapping-window im2col via a strided view (any stride)."""
-    n, c, h, w = x.shape
-    pad_h = same_padding(h, kernel, stride)
-    pad_w = same_padding(w, kernel, stride)
-    xp = np.pad(
-        x, ((0, 0), (0, 0), pad_h, pad_w), mode="constant", constant_values=0.0
-    )
-    hp, wp = xp.shape[2], xp.shape[3]
-    out_h = conv_output_size(h, kernel, stride)
-    out_w = conv_output_size(w, kernel, stride)
+def tile_patches(x: np.ndarray, kernel: int) -> np.ndarray:
+    """stride == kernel patch rows ``(N * oh * ow, C * k * k)`` of NCHW ``x``.
 
-    sn, sc, sh, sw = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, c, out_h, out_w, kernel, kernel),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    )
-    # (N, out_h, out_w, C, kh, kw) -> rows are output positions
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(
-        n * out_h * out_w, c * kernel * kernel
-    )
-    return np.ascontiguousarray(cols), (n, c, hp, wp)
-
-
-def _im2col_nonoverlap(
-    x: np.ndarray, kernel: int
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """stride == kernel: patches tile the padded image, so the window
-    gather is a pure reshape — and when the size divides evenly (the
-    hot 99 -> 33 and 33 -> 11 stages) the padding copy is skipped too."""
+    When the size divides evenly (the hot 99 -> 33 and 33 -> 11 stages)
+    no padding copy is made.
+    """
     n, c, h, w = x.shape
     pad_h = same_padding(h, kernel, kernel)
     pad_w = same_padding(w, kernel, kernel)
-    if pad_h == (0, 0) and pad_w == (0, 0):
-        xp = x
-    else:
-        xp = np.pad(
-            x, ((0, 0), (0, 0), pad_h, pad_w),
-            mode="constant", constant_values=0.0,
-        )
-    hp, wp = xp.shape[2], xp.shape[3]
-    out_h = hp // kernel
-    out_w = wp // kernel
-    cols = (
-        xp.reshape(n, c, out_h, kernel, out_w, kernel)
-        .transpose(0, 2, 4, 1, 3, 5)
-        .reshape(n * out_h * out_w, c * kernel * kernel)
-    )
-    return np.ascontiguousarray(cols), (n, c, hp, wp)
-
-
-def im2col(
-    x: np.ndarray, kernel: int, stride: int
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Unfold ``x`` (N, C, H, W) into patch columns.
-
-    Returns ``(cols, padded_shape)`` where ``cols`` has shape
-    (N * out_h * out_w, C * kernel * kernel).  ``padded_shape`` is needed
-    by :func:`col2im` to fold gradients back.
-    """
-    if stride == kernel:
-        return _im2col_nonoverlap(x, kernel)
-    return _im2col_general(x, kernel, stride)
-
-
-def _col2im_general(
-    cols: np.ndarray,
-    padded_shape: tuple[int, ...],
-    out_h: int,
-    out_w: int,
-    kernel: int,
-    stride: int,
-) -> np.ndarray:
-    n, c, hp, wp = padded_shape
-    grad_padded = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    patches = cols.reshape(n, out_h, out_w, c, kernel, kernel).transpose(
-        0, 3, 1, 2, 4, 5
-    )
-    # Scatter-add each kernel offset in one vectorised slice assignment.
-    for ki in range(kernel):
-        for kj in range(kernel):
-            grad_padded[
-                :,
-                :,
-                ki : ki + out_h * stride : stride,
-                kj : kj + out_w * stride : stride,
-            ] += patches[:, :, :, :, ki, kj]
-    return grad_padded
-
-
-def _col2im_nonoverlap(
-    cols: np.ndarray,
-    padded_shape: tuple[int, ...],
-    out_h: int,
-    out_w: int,
-    kernel: int,
-) -> np.ndarray:
-    """stride == kernel: every padded pixel receives exactly one patch
-    value, so the k*k scatter-add loop collapses to one reshape."""
-    n, c, hp, wp = padded_shape
+    if pad_h != (0, 0) or pad_w != (0, 0):
+        x = np.pad(x, ((0, 0), (0, 0), pad_h, pad_w))
+    oh, ow = x.shape[2] // kernel, x.shape[3] // kernel
     return (
-        cols.reshape(n, out_h, out_w, c, kernel, kernel)
-        .transpose(0, 3, 1, 4, 2, 5)
-        .reshape(n, c, hp, wp)
+        x.reshape(n, c, oh, kernel, ow, kernel)
+        .transpose(0, 2, 4, 1, 3, 5)
+        .reshape(n * oh * ow, c * kernel * kernel)
     )
 
 
-def pad_input(
-    x: np.ndarray, kernel: int, stride: int
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """SAME-pad ``x`` (N, C, H, W); returns ``(xp, padded_shape)``.
+def untile_patches(
+    cols: np.ndarray, channels: int, orig_hw: tuple[int, int], kernel: int
+) -> np.ndarray:
+    """Adjoint of :func:`tile_patches`: patch-row gradients to NCHW."""
+    h, w = orig_hw
+    top, bottom = same_padding(h, kernel, kernel)
+    left, right = same_padding(w, kernel, kernel)
+    hp, wp = top + h + bottom, left + w + right
+    grad = (
+        cols.reshape(-1, hp // kernel, wp // kernel, channels, kernel, kernel)
+        .transpose(0, 1, 4, 2, 5, 3)
+        .reshape(-1, hp, wp, channels)
+    )
+    return grad[:, top : top + h, left : left + w].transpose(0, 3, 1, 2)
 
-    No copy is made when the padding is zero on every side.
-    """
+
+def pad_channels_last(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """Copy NCHW ``x`` once into a zero-padded ``(N, Hp, Wp, C)`` buffer."""
     n, c, h, w = x.shape
-    pad_h = same_padding(h, kernel, stride)
-    pad_w = same_padding(w, kernel, stride)
-    if pad_h == (0, 0) and pad_w == (0, 0):
-        xp = x
-    else:
-        xp = np.pad(
-            x, ((0, 0), (0, 0), pad_h, pad_w),
-            mode="constant", constant_values=0.0,
-        )
-    return xp, xp.shape
+    top, bottom = same_padding(h, kernel, stride)
+    left, right = same_padding(w, kernel, stride)
+    xp = np.zeros((n, top + h + bottom, left + w + right, c), dtype=x.dtype)
+    xp[:, top : top + h, left : left + w] = x.transpose(0, 2, 3, 1)
+    return xp
 
 
-def window_view(
-    xp: np.ndarray, kernel: int, stride: int, out_h: int, out_w: int
-) -> np.ndarray:
-    """Read-only (N, out_h, out_w, C, k, k) window view over padded input.
+def _grid_rows(grid_shape: tuple[int, ...], kernel: int) -> int:
+    """Rows ``R`` of the flat grid every tap offset can read in bounds."""
+    n, hp, wp = grid_shape[:3]
+    return max(n * hp * wp - (kernel - 1) * (wp + 1), 0)
 
-    Axis 0 is whole images, so slicing ``view[a:b]`` selects an image
-    block whose ``ascontiguousarray(...).reshape(rows, C*k*k)`` equals
-    the corresponding row slice of the full materialised ``cols``.
+
+def _taps(kernel: int, wp: int):
+    for i in range(kernel):
+        for j in range(kernel):
+            yield i, j, i * wp + j
+
+
+def shift_conv_forward(xp: np.ndarray, weight: np.ndarray, kernel: int) -> np.ndarray:
+    """Stride-1 valid convolution of padded NHWC ``xp`` on its own grid.
+
+    Returns ``(N, Hp, Wp, O)``; the valid outputs are the top-left
+    ``(Hp - k + 1, Wp - k + 1)`` corner of each image, the rest is junk.
     """
-    n, c = xp.shape[0], xp.shape[1]
-    sn, sc, sh, sw = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, out_h, out_w, c, kernel, kernel),
-        strides=(sn, sh * stride, sw * stride, sc, sh, sw),
-        writeable=False,
+    n, hp, wp, c = xp.shape
+    w4 = weight.reshape(c, kernel, kernel, -1)
+    x2d = xp.reshape(-1, c)
+    rows = _grid_rows(xp.shape, kernel)
+    out = np.zeros(
+        (n * hp * wp, w4.shape[3]), dtype=np.result_type(xp, weight)
     )
+    acc = out[:rows]
+    tmp = np.empty_like(acc)
+    for i, j, off in _taps(kernel, wp):
+        np.matmul(x2d[off : off + rows], w4[:, i, j], out=tmp)
+        acc += tmp
+    return out.reshape(n, hp, wp, w4.shape[3])
 
 
-def images_per_block(rows_per_image: int, patch_len: int) -> int:
-    """Whole images per cols block for the stride<kernel matmul.
+def shift_conv_backward(
+    xp: np.ndarray, weight: np.ndarray, kernel: int, grad_grid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Transposed products of :func:`shift_conv_forward`.
 
-    Derived purely from the logical shape (never from dtype, mode or
-    runtime state) so the blocked and reference execution modes always
-    agree on the partition — the property their bit-exactness rests on.
+    ``grad_grid`` is the output gradient on the padded grid
+    ``(N, Hp, Wp, O)``, zero on junk rows.  Returns the weight gradient
+    in ``weight``'s ``(C * k * k, O)`` layout and the input gradient on
+    the padded grid, ``(N, Hp, Wp, C)``.
     """
-    target_rows = max(1, _BLOCK_TARGET_ELEMS // max(1, patch_len))
-    return max(1, target_rows // max(1, rows_per_image))
-
-
-def conv_forward_blocks(
-    get_block, n_images: int, ipb: int, weight: np.ndarray, bias: np.ndarray
-) -> np.ndarray:
-    """Forward gemm over image blocks: ``cols_block @ weight + bias``.
-
-    ``get_block(a, b)`` must return the contiguous cols rows for images
-    ``[a, b)``.  Both execution modes call this with the same ``ipb``,
-    so every gemm has identical shape and operand values in each mode.
-    """
-    if n_images == 0:
-        return np.zeros((0, weight.shape[1]), dtype=weight.dtype)
-    parts = []
-    for a in range(0, n_images, ipb):
-        b = min(a + ipb, n_images)
-        parts.append(get_block(a, b) @ weight + bias)
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
-
-
-def conv_backward_blocks(
-    get_block,
-    n_images: int,
-    rows_per_image: int,
-    ipb: int,
-    weight: np.ndarray,
-    g2d: np.ndarray,
-    padded_shape: tuple[int, ...],
-    out_h: int,
-    out_w: int,
-    kernel: int,
-    stride: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward over the same block partition as the forward.
-
-    Returns ``(weight_grad, bias_grad, grad_padded)``; per-block
-    partial sums accumulate in block order, so the reference and
-    blocked modes produce identical bits here too.
-    """
-    _, c, hp, wp = padded_shape
-    wg = np.zeros_like(weight)
-    bg = np.zeros(weight.shape[1], dtype=weight.dtype)
-    grad_padded = np.zeros((n_images, c, hp, wp), dtype=g2d.dtype)
-    for a in range(0, n_images, ipb):
-        b = min(a + ipb, n_images)
-        cols_b = get_block(a, b)
-        g_b = g2d[a * rows_per_image : b * rows_per_image]
-        wg += cols_b.T @ g_b
-        bg += g_b.sum(axis=0)
-        grad_padded[a:b] = _col2im_general(
-            g_b @ weight.T, (b - a, c, hp, wp), out_h, out_w, kernel, stride
-        )
-    return wg, bg, grad_padded
-
-
-def unpad_gradient(
-    grad_padded: np.ndarray,
-    orig_hw: tuple[int, int],
-    kernel: int,
-    stride: int,
-) -> np.ndarray:
-    h, w = orig_hw
-    pad_h = same_padding(h, kernel, stride)
-    pad_w = same_padding(w, kernel, stride)
-    return grad_padded[:, :, pad_h[0] : pad_h[0] + h, pad_w[0] : pad_w[0] + w]
-
-
-def col2im(
-    cols: np.ndarray,
-    padded_shape: tuple[int, ...],
-    orig_hw: tuple[int, int],
-    kernel: int,
-    stride: int,
-) -> np.ndarray:
-    """Fold patch-column gradients back to an input gradient (N, C, H, W)."""
-    h, w = orig_hw
-    out_h = conv_output_size(h, kernel, stride)
-    out_w = conv_output_size(w, kernel, stride)
-    if stride == kernel:
-        grad_padded = _col2im_nonoverlap(
-            cols, padded_shape, out_h, out_w, kernel
-        )
-    else:
-        grad_padded = _col2im_general(
-            cols, padded_shape, out_h, out_w, kernel, stride
-        )
-    pad_h = same_padding(h, kernel, stride)
-    pad_w = same_padding(w, kernel, stride)
-    return grad_padded[:, :, pad_h[0] : pad_h[0] + h, pad_w[0] : pad_w[0] + w]
+    n, hp, wp, c = xp.shape
+    w4 = weight.reshape(c, kernel, kernel, -1)
+    x2d = xp.reshape(-1, c)
+    g2d = grad_grid.reshape(-1, w4.shape[3])
+    rows = _grid_rows(xp.shape, kernel)
+    g = g2d[:rows]
+    weight_grad = np.empty(w4.shape, dtype=np.result_type(xp, grad_grid))
+    grad_x = np.zeros(
+        (n * hp * wp, c), dtype=np.result_type(grad_grid, weight)
+    )
+    tmp = np.empty((rows, c), dtype=grad_x.dtype)
+    for i, j, off in _taps(kernel, wp):
+        np.matmul(x2d[off : off + rows].T, g, out=weight_grad[:, i, j])
+        np.matmul(g, w4[:, i, j].T, out=tmp)
+        grad_x[off : off + rows] += tmp
+    return weight_grad.reshape(weight.shape), grad_x.reshape(n, hp, wp, c)

@@ -16,17 +16,13 @@ from __future__ import annotations
 import numpy as np
 
 from .conv_utils import (
-    col2im,
-    conv_backward_blocks,
-    conv_forward_blocks,
     conv_output_size,
-    default_conv_matmul_mode,
-    im2col,
-    images_per_block,
-    pad_input,
-    resolve_conv_matmul_mode,
-    unpad_gradient,
-    window_view,
+    pad_channels_last,
+    same_padding,
+    shift_conv_backward,
+    shift_conv_forward,
+    tile_patches,
+    untile_patches,
 )
 from .module import Module, Parameter
 
@@ -93,37 +89,34 @@ class LeakyReLU(Module):
 
     def __init__(self, alpha: float = 0.01):
         super().__init__()
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"LeakyReLU alpha must be in [0, 1], got {alpha}")
         self.alpha = alpha
         self._mask: np.ndarray | None = None
 
+    # Both passes equal the np.where(x > 0, ...) forms bit for bit, and
+    # cost a fraction of them: for alpha in [0, 1], max(x, alpha * x)
+    # picks x exactly when x > 0, and max(mask, alpha) is 1 where the
+    # mask is set and alpha elsewhere.
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
-        return np.where(self._mask, x, self.alpha * x)
+        return np.maximum(x, self.alpha * x)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
-        out = np.where(self._mask, grad, self.alpha * grad)
+        out = grad * np.maximum(self._mask, grad.dtype.type(self.alpha))
         self._mask = None
         return out
 
 
 class Conv2D(Module):
-    """3x3-style convolution with SAME padding, NCHW layout, via im2col.
+    """3x3-style convolution with SAME padding and an NCHW contract.
 
-    ``stride == kernel`` keeps the non-overlapping single-gemm fast
-    path.  ``stride < kernel`` runs the matmul over whole-image blocks
-    in one of two modes sharing the same block partition (see
-    ``conv_utils``): ``"blocked"`` consumes the strided window view one
-    cache-sized block at a time (no full ``cols`` materialisation),
-    ``"reference"`` materialises ``cols`` up front.  The shared
-    partition makes the two modes bit-exact on any BLAS, so ``"auto"``
-    may freely pick per call: materialise while the cols copy is
-    cache-sized, stream blocks once it would thrash.
-
-    ``matmul_mode=None`` (the default) defers to
-    :func:`default_conv_matmul_mode`, i.e. the ``REPRO_CONV_MATMUL``
-    environment override or ``"auto"``.
+    ``stride == kernel`` tiles the input into patch rows for one gemm;
+    every other stride runs the shift-and-accumulate kernel over a
+    zero-padded channels-last copy of the input (see ``conv_utils``).
+    Outputs and input gradients are NCHW views of channels-last memory.
     """
 
     def __init__(
@@ -135,7 +128,6 @@ class Conv2D(Module):
         rng: np.random.Generator | None = None,
         dtype=DEFAULT_DTYPE,
         name: str = "conv",
-        matmul_mode: str | None = None,
     ):
         super().__init__()
         rng = rng or np.random.default_rng(0)
@@ -143,7 +135,6 @@ class Conv2D(Module):
         self.out_channels = out_channels
         self.kernel = kernel
         self.stride = stride
-        self.matmul_mode = matmul_mode
         fan_in = in_channels * kernel * kernel
         self.weight = Parameter(
             he_normal(rng, (fan_in, out_channels), fan_in, dtype),
@@ -152,84 +143,52 @@ class Conv2D(Module):
         self.bias = Parameter(np.zeros(out_channels, dtype=dtype), name=f"{name}.bias")
         self._cache: tuple | None = None
 
-    def _get_block(self, store: tuple, out_h: int, out_w: int):
-        """Block accessor over either a materialised cols array
-        ("reference") or the padded input's window view ("blocked")."""
-        kind, data = store
-        rows_per_image = out_h * out_w
-        patch_len = self.in_channels * self.kernel * self.kernel
-        if kind == "cols":
-            def get_block(a: int, b: int) -> np.ndarray:
-                return data[a * rows_per_image : b * rows_per_image]
-        else:
-            windows = window_view(data, self.kernel, self.stride, out_h, out_w)
-
-            def get_block(a: int, b: int) -> np.ndarray:
-                block = np.ascontiguousarray(windows[a:b])
-                return block.reshape((b - a) * rows_per_image, patch_len)
-        return get_block
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(
                 f"Conv2D expected (N,{self.in_channels},H,W), got {x.shape}"
             )
         n, _, h, w = x.shape
-        out_h = conv_output_size(h, self.kernel, self.stride)
-        out_w = conv_output_size(w, self.kernel, self.stride)
-        if self.stride == self.kernel:
-            cols, padded_shape = im2col(x, self.kernel, self.stride)
-            out = cols @ self.weight.value + self.bias.value
-            self._cache = ("nonoverlap", cols, padded_shape, (h, w))
+        k, s = self.kernel, self.stride
+        oh, ow = conv_output_size(h, k, s), conv_output_size(w, k, s)
+        if s == k:
+            cols = tile_patches(x, k)
+            out = (cols @ self.weight.value + self.bias.value).reshape(
+                n, oh, ow, self.out_channels
+            )
+            self._cache = (cols, (h, w))
         else:
-            mode = resolve_conv_matmul_mode(
-                self.matmul_mode or default_conv_matmul_mode(),
-                n * out_h * out_w,
-                self.in_channels * self.kernel * self.kernel,
-            )
-            if mode == "reference":
-                cols, padded_shape = im2col(x, self.kernel, self.stride)
-                store = ("cols", cols)
-            else:
-                xp, padded_shape = pad_input(x, self.kernel, self.stride)
-                store = ("xp", xp)
-            ipb = images_per_block(
-                out_h * out_w, self.in_channels * self.kernel * self.kernel
-            )
-            out = conv_forward_blocks(
-                self._get_block(store, out_h, out_w),
-                n, ipb, self.weight.value, self.bias.value,
-            )
-            self._cache = ("general", store, padded_shape, (h, w))
-        return out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
+            xp = pad_channels_last(x, k, s)
+            grid = shift_conv_forward(xp, self.weight.value, k)
+            out = grid[:, : oh * s : s, : ow * s : s] + self.bias.value
+            self._cache = (xp, (h, w))
+        return out.transpose(0, 3, 1, 2)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        kind, store, padded_shape, orig_hw = self._cache
+        store, (h, w) = self._cache
         self._cache = None
-        g2d = grad.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        if kind == "nonoverlap":
-            cols = store
-            self.weight.grad += cols.T @ g2d
+        k, s = self.kernel, self.stride
+        g_nhwc = grad.transpose(0, 2, 3, 1)
+        if s == k:
+            g2d = g_nhwc.reshape(-1, self.out_channels)
+            self.weight.grad += store.T @ g2d
             self.bias.grad += g2d.sum(axis=0)
-            grad_cols = g2d @ self.weight.value.T
-            return col2im(grad_cols, padded_shape, orig_hw, self.kernel, self.stride)
-        h, w = orig_hw
-        out_h = conv_output_size(h, self.kernel, self.stride)
-        out_w = conv_output_size(w, self.kernel, self.stride)
-        ipb = images_per_block(
-            out_h * out_w, self.in_channels * self.kernel * self.kernel
+            return untile_patches(
+                g2d @ self.weight.value.T, self.in_channels, (h, w), k
+            )
+        oh, ow = g_nhwc.shape[1:3]
+        grad_grid = np.zeros(store.shape[:3] + (self.out_channels,), grad.dtype)
+        grad_grid[:, : oh * s : s, : ow * s : s] = g_nhwc
+        weight_grad, grad_xp = shift_conv_backward(
+            store, self.weight.value, k, grad_grid
         )
-        wg, bg, grad_padded = conv_backward_blocks(
-            self._get_block(store, out_h, out_w),
-            padded_shape[0], out_h * out_w, ipb,
-            self.weight.value, g2d, padded_shape,
-            out_h, out_w, self.kernel, self.stride,
-        )
-        self.weight.grad += wg
-        self.bias.grad += bg
-        return unpad_gradient(grad_padded, orig_hw, self.kernel, self.stride)
+        self.weight.grad += weight_grad
+        self.bias.grad += g_nhwc.sum(axis=(0, 1, 2))
+        top = same_padding(h, k, s)[0]
+        left = same_padding(w, k, s)[0]
+        return grad_xp[:, top : top + h, left : left + w].transpose(0, 3, 1, 2)
 
 
 class GlobalAvgPool(Module):

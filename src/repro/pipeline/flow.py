@@ -26,12 +26,14 @@ from __future__ import annotations
 
 import hashlib
 import os
+import zipfile
+import zlib
 from pathlib import Path
 
 from ..core.atomic import atomic_write_text
 from ..core.attack import DLAttack
 from ..core.config import AttackConfig
-from ..layout.def_io import read_def, write_def
+from ..layout.def_io import DefFormatError, read_def, write_def
 from ..layout.design import Design, build_layout
 from ..netlist.benchmarks import (
     TABLE3_BY_NAME,
@@ -42,6 +44,7 @@ from ..netlist.benchmarks import (
     build_suite_design,
 )
 from ..netlist.netlist import Netlist
+from ..obs.logging import log_event
 from ..split.split import SplitLayout, split_design
 
 _SUITE_BY_NAME = {
@@ -56,6 +59,14 @@ _split_memo: dict[tuple[str, int], SplitLayout] = {}
 # one this memo is what keeps a multi-scenario sweep from retraining
 # the same model once per evaluation node.
 _attack_memo: dict[tuple[int, str], "DLAttack"] = {}
+
+# What a stale, truncated or foreign cache file raises on load.  The
+# loaders fall back to rebuilding on these and let anything else (a
+# bug) propagate.
+_STALE_DEF_ERRORS = (DefFormatError, OSError, ValueError)
+_STALE_WEIGHT_ERRORS = (
+    OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error,
+)
 
 
 def cache_dir() -> Path | None:
@@ -83,20 +94,30 @@ def build_netlist(name: str) -> Netlist:
     raise KeyError(f"unknown design {name!r}")
 
 
+def _cached_design(def_path: Path | None, netlist: Netlist) -> Design | None:
+    """The layout cached at ``def_path``; None (rebuild) when there is
+    none or it is stale, truncated or for another design."""
+    if def_path is None or not def_path.exists():
+        return None
+    try:
+        return read_def(def_path.read_text(), netlist)
+    except _STALE_DEF_ERRORS as exc:
+        log_event(
+            "cache_fallback", artifact="layout", path=str(def_path),
+            error=repr(exc),
+        )
+        return None
+
+
 def get_layout(name: str, use_disk_cache: bool = True) -> Design:
     """Place-and-route a named design, with memo + disk cache."""
     memo = _layout_memo.get(name)
     if memo is not None:
         return memo
     netlist = build_netlist(name)
-    design: Design | None = None
     disk = cache_dir() if use_disk_cache else None
     def_path = disk / f"{name}.def" if disk else None
-    if def_path is not None and def_path.exists():
-        try:
-            design = read_def(def_path.read_text(), netlist)
-        except Exception:
-            design = None  # stale cache: rebuild
+    design = _cached_design(def_path, netlist)
     if design is None:
         design = build_layout(netlist)
         if def_path is not None:
@@ -144,14 +165,9 @@ def get_defended_layout(
     if memo is not None:
         return memo
     netlist = build_netlist(name)
-    design: Design | None = None
     disk = cache_dir() if use_disk_cache else None
     def_path = disk / f"{tag}.def" if disk else None
-    if def_path is not None and def_path.exists():
-        try:
-            design = read_def(def_path.read_text(), netlist)
-        except Exception:
-            design = None  # stale cache: rebuild
+    design = _cached_design(def_path, netlist)
     if design is None:
         # Imported lazily: repro.defense.evaluation imports this module,
         # so a top-level import would be circular.
@@ -265,13 +281,18 @@ def trained_attack(
             return memo
 
     attack = DLAttack(config, split_layer, use_disk_cache=use_disk_cache)
-    if weight_path is not None:
-        if weight_path.exists():
-            try:
-                attack.load(weight_path)
-                return attack
-            except Exception:
-                pass  # stale cache: retrain
+    if weight_path is not None and weight_path.exists():
+        try:
+            attack.load(weight_path)
+            return attack
+        except _STALE_WEIGHT_ERRORS as exc:
+            log_event(
+                "cache_fallback", artifact="weights", path=str(weight_path),
+                error=repr(exc),
+            )
+            # A failed load may have overwritten some parameters:
+            # retrain from a fresh initialisation.
+            attack = DLAttack(config, split_layer, use_disk_cache=use_disk_cache)
 
     train_splits = [get_split(n, split_layer, use_disk_cache) for n in train_names]
     attack.train(train_splits, verbose=verbose)

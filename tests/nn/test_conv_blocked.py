@@ -1,12 +1,10 @@
-"""Blocked vs reference conv matmul: bit-exactness and correctness.
+"""Stride < kernel Conv2D without a materialised patch-column copy.
 
-The stride<kernel Conv2D path has two execution modes sharing one
-block partition (see ``repro.nn.conv_utils``): ``"reference"``
-materialises the full im2col cols array, ``"blocked"`` consumes the
-strided window view one image block at a time.  Because both issue
-identical per-block gemms, every output — forward activations, weight
-and bias gradients, input gradients — must match *bitwise*, not just
-approximately, on any BLAS.
+The shift-and-accumulate kernel (see ``repro.nn.conv_utils``) keeps
+only the zero-padded channels-last input between forward and backward,
+never the ``kernel**2``-times-larger im2col matrix.  Checked here
+against a direct convolution, by float64 gradcheck, and by the size of
+what the forward caches.
 """
 
 import numpy as np
@@ -17,10 +15,8 @@ from repro.nn import (
     Conv2D,
     check_module_gradients,
     conv_output_size,
-    default_conv_matmul_mode,
     same_padding,
 )
-from repro.nn.conv_utils import _BLOCK_TARGET_ELEMS, images_per_block
 
 
 def naive_conv2d(x, weight, kernel, stride):
@@ -45,78 +41,6 @@ def naive_conv2d(x, weight, kernel, stride):
     return out
 
 
-def _run_both_modes(x, grad_seed, **conv_kwargs):
-    """Forward + backward in both modes; returns per-mode arrays."""
-    out = {}
-    for mode in ("blocked", "reference"):
-        conv = Conv2D(
-            rng=np.random.default_rng(7), matmul_mode=mode, **conv_kwargs
-        )
-        y = conv(x)
-        g = (
-            np.random.default_rng(grad_seed)
-            .standard_normal(y.shape)
-            .astype(x.dtype)
-        )
-        conv.weight.grad[...] = 0.0
-        conv.bias.grad[...] = 0.0
-        gx = conv.backward(g)
-        out[mode] = (y, conv.weight.grad.copy(), conv.bias.grad.copy(), gx)
-    return out
-
-
-class TestBlockedBitExact:
-    @given(
-        n=st.integers(1, 5),
-        c=st.integers(1, 4),
-        out_c=st.integers(1, 5),
-        h=st.integers(1, 13),
-        w=st.integers(1, 13),
-        kernel=st.sampled_from([2, 3, 5]),
-        stride=st.sampled_from([1, 2]),
-        seed=st.integers(0, 10_000),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_forward_backward_bit_exact(
-        self, n, c, out_c, h, w, kernel, stride, seed
-    ):
-        if stride >= kernel:
-            stride = 1
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((n, c, h, w)).astype(np.float32)
-        res = _run_both_modes(
-            x, seed + 1,
-            in_channels=c, out_channels=out_c, kernel=kernel, stride=stride,
-        )
-        for blocked, reference in zip(res["blocked"], res["reference"]):
-            np.testing.assert_array_equal(blocked, reference)
-
-    def test_multi_block_partition_bit_exact(self):
-        """Force several blocks (the interesting case: the partition
-        boundaries and the per-block accumulation order must agree)."""
-        c, k, h = 8, 3, 33
-        ipb = images_per_block(h * h, c * k * k)
-        n = 3 * ipb + 1  # three full blocks plus a remainder block
-        x = (
-            np.random.default_rng(0)
-            .standard_normal((n, c, h, h))
-            .astype(np.float32)
-        )
-        res = _run_both_modes(
-            x, 1, in_channels=c, out_channels=16, kernel=k, stride=1
-        )
-        for blocked, reference in zip(res["blocked"], res["reference"]):
-            np.testing.assert_array_equal(blocked, reference)
-
-    def test_float64_bit_exact(self):
-        x = np.random.default_rng(3).standard_normal((5, 2, 9, 9))
-        res = _run_both_modes(
-            x, 4, in_channels=2, out_channels=6, kernel=3, stride=1
-        )
-        for blocked, reference in zip(res["blocked"], res["reference"]):
-            np.testing.assert_array_equal(blocked, reference)
-
-
 class TestBlockedCorrectness:
     @given(
         c=st.integers(1, 3),
@@ -131,8 +55,7 @@ class TestBlockedCorrectness:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((2, c, h, w))
         conv = Conv2D(
-            c, out_c, kernel=3, stride=stride,
-            rng=np.random.default_rng(seed), matmul_mode="blocked",
+            c, out_c, kernel=3, stride=stride, rng=np.random.default_rng(seed)
         )
         conv.bias.value[...] = 0.0
         y = conv(x)
@@ -141,73 +64,22 @@ class TestBlockedCorrectness:
         )
 
     def test_gradcheck_blocked_mode(self):
-        conv = Conv2D(
-            2, 3, kernel=3, stride=1,
-            rng=np.random.default_rng(5), matmul_mode="blocked",
-        )
+        conv = Conv2D(2, 3, kernel=3, stride=1, rng=np.random.default_rng(5))
         x = np.random.default_rng(6).standard_normal((2, 2, 5, 5))
         check_module_gradients(conv, x)
 
 
 class TestModeSelection:
-    def test_default_mode_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CONV_MATMUL", raising=False)
-        assert default_conv_matmul_mode() == "auto"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CONV_MATMUL", "reference")
-        assert default_conv_matmul_mode() == "reference"
-        monkeypatch.setenv("REPRO_CONV_MATMUL", "blocked")
-        assert default_conv_matmul_mode() == "blocked"
-        monkeypatch.setenv("REPRO_CONV_MATMUL", "nonsense")
-        assert default_conv_matmul_mode() == "auto"
-
-    def test_auto_resolves_by_cols_size(self):
-        from repro.nn.conv_utils import (
-            _MATERIALIZE_LIMIT_ELEMS,
-            resolve_conv_matmul_mode,
-        )
-
-        small = resolve_conv_matmul_mode("auto", 100, 27)
-        big = resolve_conv_matmul_mode(
-            "auto", _MATERIALIZE_LIMIT_ELEMS, 27
-        )
-        assert (small, big) == ("reference", "blocked")
-        assert resolve_conv_matmul_mode("blocked", 1, 1) == "blocked"
-        assert resolve_conv_matmul_mode("reference", 10**9, 1) == "reference"
-
-    def test_partition_is_shape_only(self):
-        # The block size must be a pure function of the logical shape —
-        # that's what keeps the two modes aligned.
-        assert images_per_block(1, 1) == _BLOCK_TARGET_ELEMS
-        assert images_per_block(10**9, 10**9) == 1
-
     def test_blocked_avoids_full_cols_materialisation(self):
-        """The point of the blocked mode: its forward cache holds the
-        padded input, not a kernel**2-times-larger cols copy."""
-        conv = Conv2D(4, 4, kernel=3, stride=1, matmul_mode="blocked")
+        """stride < kernel caches the padded input, not a cols copy;
+        stride == kernel caches its tiled patch rows, which are the
+        input itself rearranged (no duplication)."""
         x = np.zeros((2, 4, 15, 15), dtype=np.float32)
+        conv = Conv2D(4, 4, kernel=3, stride=1)
         conv(x)
-        kind, store, _, _ = conv._cache
-        assert kind == "general" and store[0] == "xp"
-        assert store[1].nbytes <= x.nbytes * 2  # padded input, not cols
-        ref = Conv2D(4, 4, kernel=3, stride=1, matmul_mode="reference")
-        ref(x)
-        _, ref_store, _, _ = ref._cache
-        assert ref_store[0] == "cols"
-        assert ref_store[1].nbytes >= x.nbytes * 8  # the 9x cols copy
-
-    def test_stride_equals_kernel_ignores_mode(self):
-        """The non-overlapping fast path is mode-independent."""
-        x = np.random.default_rng(1).standard_normal((2, 3, 9, 9)).astype(
-            np.float32
-        )
-        outs = []
-        for mode in ("blocked", "reference"):
-            conv = Conv2D(
-                3, 4, kernel=3, stride=3,
-                rng=np.random.default_rng(2), matmul_mode=mode,
-            )
-            outs.append(conv(x))
-            assert conv._cache[0] == "nonoverlap"
-        np.testing.assert_array_equal(outs[0], outs[1])
+        padded = conv._cache[0]
+        assert padded.shape == (2, 17, 17, 4)
+        assert padded.nbytes <= x.nbytes * 2  # padded input, not 9x cols
+        tiled = Conv2D(4, 4, kernel=3, stride=3)
+        tiled(x)
+        assert tiled._cache[0].nbytes == x.nbytes

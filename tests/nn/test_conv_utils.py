@@ -1,11 +1,12 @@
-"""im2col / col2im correctness, including the Table 2 size progression."""
+"""SAME-padding geometry (the Table 2 size progression) and the
+test-only im2col / col2im oracle that the Conv2D tests compare against."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import col2im, conv_output_size, im2col, same_padding
-from repro.nn.conv_utils import _col2im_general, _im2col_general
+from conv_oracle import col2im, col2im_general, im2col, im2col_general
+from repro.nn import conv_output_size, same_padding
 
 
 def naive_conv2d(x, weight, kernel, stride):
@@ -108,7 +109,7 @@ class TestNonOverlapFastPath:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((n, c, h, w))
         fast_cols, fast_padded = im2col(x, kernel=kernel, stride=kernel)
-        ref_cols, ref_padded = _im2col_general(x, kernel=kernel, stride=kernel)
+        ref_cols, ref_padded = im2col_general(x, kernel=kernel, stride=kernel)
         assert fast_padded == ref_padded
         np.testing.assert_array_equal(fast_cols, ref_cols)
 
@@ -128,7 +129,7 @@ class TestNonOverlapFastPath:
         fast = col2im(y, padded, (h, w), kernel=kernel, stride=kernel)
         out_h = conv_output_size(h, kernel, kernel)
         out_w = conv_output_size(w, kernel, kernel)
-        ref_padded = _col2im_general(y, padded, out_h, out_w, kernel, kernel)
+        ref_padded = col2im_general(y, padded, out_h, out_w, kernel, kernel)
         pad_h = same_padding(h, kernel, kernel)
         pad_w = same_padding(w, kernel, kernel)
         ref = ref_padded[

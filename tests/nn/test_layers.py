@@ -71,6 +71,34 @@ class TestLeakyReLU:
         grad = act.backward(np.array([1.0, 1.0]))
         np.testing.assert_allclose(grad, [0.1, 1.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.5])
+    def test_bitwise_equals_where_form(self, dtype, alpha):
+        """Forward and backward equal the ``where(x > 0, ...)`` forms bit
+        for bit, signed zeros, subnormals and infinities too."""
+        tiny = np.finfo(dtype).smallest_subnormal
+        special = np.array(
+            [0.0, -0.0, tiny, -tiny, np.inf, -np.inf], dtype=dtype
+        )
+        x = np.concatenate(
+            [special, rng().standard_normal(2002).astype(dtype) * 10]
+        ).reshape(4, -1)
+        act = LeakyReLU(alpha)
+        got = act(x)
+        want = np.where(x > 0, x, alpha * x)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+        grad = rng().standard_normal(x.shape).astype(dtype)
+        got = act.backward(grad)
+        want = np.where(x > 0, grad, alpha * grad)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+    def test_rejects_alpha_outside_unit_interval(self):
+        for alpha in (-0.1, 1.5):
+            with pytest.raises(ValueError, match="alpha"):
+                LeakyReLU(alpha)
+
     def test_gradcheck(self):
         # avoid the kink at 0 by sampling away from it
         x = rng().standard_normal((4, 5))
