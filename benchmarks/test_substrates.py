@@ -15,8 +15,8 @@ from repro.core import (
     ImageExtractor,
     N_VECTOR_FEATURES,
     SplitNet,
+    VectorFeatures,
     build_candidates,
-    vpp_vector_features,
 )
 from repro.layout import Router, build_layout, make_floorplan, place
 from repro.netlist import RandomLogicGenerator, build_benchmark
@@ -79,7 +79,7 @@ def test_vector_feature_extraction(benchmark, split_m3):
     vpps = [v for vl in candidates.values() for v in vl]
 
     def extract():
-        return [vpp_vector_features(split_m3, v) for v in vpps]
+        return VectorFeatures(split_m3).rows(vpps)
 
     rows = benchmark(extract)
     assert len(rows) == len(vpps)
@@ -90,8 +90,8 @@ def test_image_extraction(benchmark, split_m3):
     frag = split_m3.sink_fragments[0]
 
     def extract():
-        extractor = ImageExtractor(split_m3, config)  # cold cache each round
-        return extractor.image(frag, frag.virtual_pins[0])
+        extractor = ImageExtractor(split_m3, config)
+        return extractor.render(frag.virtual_pins[:1])[0]
 
     image = benchmark(extract)
     assert image.shape[0] == config.image_channels(3)

@@ -114,6 +114,20 @@ def golden_sweep(args) -> tuple[dict, list[BenchMetric]]:
         attack.train([train_split])
         train_s.append(time.perf_counter() - start)
 
+    # Feature-path metric: best-of-3 cold SplitDataset build (candidates,
+    # vector features, image table) on c880 at M1 and M3, with the disk
+    # cache off so every round recomputes; layouts come warm.
+    from repro.core import SplitDataset
+
+    feature_cfg = AttackConfig.benchmark()
+    feature_splits = [get_split("c880", layer) for layer in (1, 3)]
+    features_s = []
+    for _ in range(3):
+        start = time.perf_counter()
+        for split in feature_splits:
+            SplitDataset(split, feature_cfg, use_disk_cache=False)
+        features_s.append(time.perf_counter() - start)
+
     summary = {
         "label": args.label,
         "mode": "golden",
@@ -123,6 +137,7 @@ def golden_sweep(args) -> tuple[dict, list[BenchMetric]]:
         "golden_sweep_wall_s": round(min(sweep_s), 3),
         "golden_resume_50x_s": round(min(resume_s), 3),
         "golden_train_epoch_s": round(min(train_s), 3),
+        "golden_cold_features_s": round(min(features_s), 3),
         "executed": result.executed,
         "resumed": resumed.reused,
     }
@@ -130,6 +145,7 @@ def golden_sweep(args) -> tuple[dict, list[BenchMetric]]:
         BenchMetric("golden_sweep_wall_s", min(sweep_s), unit="s"),
         BenchMetric("golden_resume_50x_s", min(resume_s), unit="s"),
         BenchMetric("golden_train_epoch_s", min(train_s), unit="s"),
+        BenchMetric("golden_cold_features_s", min(features_s), unit="s"),
     ]
     return summary, metrics
 

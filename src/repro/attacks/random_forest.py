@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.vector_features import vpp_vector_features
+from ..core.vector_features import VectorFeatures
 from ..split.fragments import Fragment
 from ..split.split import VPP, SplitLayout
 from .base import Attack
@@ -232,10 +232,10 @@ class RandomForestAttack(Attack):
 
     # -- training ------------------------------------------------------
     def train(self, splits: list[SplitLayout]) -> "RandomForestAttack":
-        rows: list[np.ndarray] = []
+        blocks: list[np.ndarray] = []
         labels: list[int] = []
-        rng = np.random.default_rng(self.seed)
         for split in splits:
+            vpps: list[VPP] = []
             sources = split.source_fragments
             for sink in split.sink_fragments:
                 truth = split.truth.get(sink.fragment_id)
@@ -243,19 +243,20 @@ class RandomForestAttack(Attack):
                 for vpp, src_id in ranked[: self.negatives_per_positive]:
                     if src_id == truth:
                         continue
-                    rows.append(vpp_vector_features(split, vpp))
+                    vpps.append(vpp)
                     labels.append(0)
                 positive = next(
                     (vpp for vpp, sid in ranked if sid == truth), None
                 )
                 if positive is not None:
-                    rows.append(vpp_vector_features(split, positive))
+                    vpps.append(positive)
                     labels.append(1)
-        if not rows:
+            if vpps:
+                blocks.append(VectorFeatures(split).rows(vpps))
+        if not labels:
             raise ValueError("no training pairs found")
-        x = np.stack(rows)
+        x = np.concatenate(blocks)
         y = np.array(labels)
-        del rng  # bootstrap randomness lives in the forest
         self.forest.fit(x, y)
         self._fitted = True
         return self
@@ -265,8 +266,9 @@ class RandomForestAttack(Attack):
         """All sources whose predicted probability clears the threshold,
         ranked by probability — the [9] output the paper criticises."""
         result = CandidateListResult()
+        features = VectorFeatures(split)
         for sink in split.sink_fragments:
-            scored = self._score_sources(split, sink)
+            scored = self._score_sources(features, sink)
             keep = [
                 src_id
                 for prob, src_id in scored
@@ -279,26 +281,26 @@ class RandomForestAttack(Attack):
 
     def select(self, split: SplitLayout) -> dict[int, int]:
         assignment: dict[int, int] = {}
+        features = VectorFeatures(split)
         for sink in split.sink_fragments:
-            scored = self._score_sources(split, sink)
+            scored = self._score_sources(features, sink)
             if scored:
                 assignment[sink.fragment_id] = scored[0][1]
         return assignment
 
     # -- helpers --------------------------------------------------------
     def _score_sources(
-        self, split: SplitLayout, sink: Fragment
+        self, features: VectorFeatures, sink: Fragment
     ) -> list[tuple[float, int]]:
         if not self._fitted:
             raise RuntimeError("attack is not trained")
+        split = features.split
         ranked = self._nearest_sources(
             split, sink, split.source_fragments
         )[: self.max_sources_scored]
         if not ranked:
             return []
-        x = np.stack(
-            [vpp_vector_features(split, vpp) for vpp, _src in ranked]
-        )
+        x = features.rows([vpp for vpp, _src in ranked])
         probs = self.forest.predict_proba(x)
         scored = [
             (float(p), src_id) for p, (_vpp, src_id) in zip(probs, ranked)

@@ -1,23 +1,12 @@
 """repro.core — the paper's contribution: the deep-learning attack."""
 
 from .attack import DLAttack, TrainLog
-from .candidates import (
-    build_candidates,
-    candidate_recall,
-    direction_compatible,
-    prefers,
-    select_candidates,
-)
+from .candidates import build_candidates, candidate_recall
 from .config import AttackConfig
 from .dataset import Batch, SampleGroup, SplitDataset, make_batch
 from .image_features import ImageExtractor
 from .model import SplitNet
-from .vector_features import (
-    N_VECTOR_FEATURES,
-    FeatureNormalizer,
-    group_vector_features,
-    vpp_vector_features,
-)
+from .vector_features import N_VECTOR_FEATURES, FeatureNormalizer, VectorFeatures
 
 __all__ = [
     "AttackConfig",
@@ -30,12 +19,8 @@ __all__ = [
     "SplitDataset",
     "SplitNet",
     "TrainLog",
+    "VectorFeatures",
     "build_candidates",
     "candidate_recall",
-    "direction_compatible",
-    "group_vector_features",
     "make_batch",
-    "prefers",
-    "select_candidates",
-    "vpp_vector_features",
 ]

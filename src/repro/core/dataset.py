@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -43,11 +44,7 @@ from .atomic import atomic_savez
 from .candidates import build_candidates
 from .config import AttackConfig
 from .image_features import ImageExtractor
-from .vector_features import (
-    N_VECTOR_FEATURES,
-    FeatureNormalizer,
-    group_vector_features,
-)
+from .vector_features import N_VECTOR_FEATURES, FeatureNormalizer, VectorFeatures
 
 _TENSOR_CACHE_VERSION = 1
 
@@ -179,7 +176,6 @@ class SplitDataset:
         self.candidates: dict[int, list[VPP]] = {}
         self.tensors: FeatureTensors | None = None
 
-        self.cache_key = self._cache_key()
         cache_path: Path | None = None
         if use_disk_cache:
             cache_root = feature_cache_dir()
@@ -238,7 +234,13 @@ class SplitDataset:
             )
 
     # -- tensor precompute / cache --------------------------------------
-    def _cache_key(self) -> str:
+    @cached_property
+    def cache_key(self) -> str:
+        """Content key of the feature and embedding disk caches.
+
+        Computed on first use: it serialises the whole layout, which a
+        dataset built without the disk cache never needs.
+        """
         return feature_cache_key(self.split, self.config)
 
     def _cache_arrays(self) -> dict[str, np.ndarray]:
@@ -402,48 +404,40 @@ class SplitDataset:
     def _compute_tensors(self) -> FeatureTensors:
         n = self.config.n_candidates
         g = len(self.groups)
+        mask = self._mask_tensor()
         vec = np.zeros((g, n, N_VECTOR_FEATURES), dtype=np.float32)
-        for group in self.groups:
-            features, _mask = group_vector_features(
-                self.split, group.vpps, n, self.config.max_feature_layers
-            )
-            vec[group.index] = features
+        vpps = [vpp for group in self.groups for vpp in group.vpps[:n]]
+        if vpps:
+            features = VectorFeatures(self.split, self.config.max_feature_layers)
+            vec[mask] = features.rows(vpps)
 
         image_table = src_index = sink_index = None
         if self.config.use_images:
-            c = self.images.n_channels
-            s = self.config.image_size
-            # Row 0 is the all-zero image used for padded candidate slots.
-            rows: list[np.ndarray] = [np.zeros((c, s, s), dtype=np.uint8)]
-            row_of: dict[tuple[int, int, int], int] = {}
-
-            def table_row(fragment, vp) -> int:
-                key = (fragment.fragment_id, vp.x, vp.y)
-                row = row_of.get(key)
-                if row is None:
-                    row = len(rows)
-                    rows.append(self.images.image(fragment, vp))
-                    row_of[key] = row
-                return row
-
+            # Row 0 is the all-zero image used for padded candidate
+            # slots; the other rows are the distinct pins in order of
+            # first use.
+            row_of: dict[VirtualPin, int] = {}
             src_index = np.zeros((g, n), dtype=np.intp)
             sink_index = np.zeros(g, dtype=np.intp)
             for group in self.groups:
                 for i, vpp in enumerate(group.vpps[:n]):
-                    frag = self.split.fragment(vpp.source_fragment)
-                    src_index[group.index, i] = table_row(frag, vpp.source_vp)
-                sink_frag = self.split.fragment(group.sink_fragment_id)
+                    src_index[group.index, i] = row_of.setdefault(
+                        vpp.source_vp, len(row_of) + 1
+                    )
                 # The sink fragment is rendered once per group (paper
                 # Sec. 4.2); use its first (deterministically ordered)
                 # virtual pin.
-                sink_index[group.index] = table_row(
-                    sink_frag, sink_frag.virtual_pins[0]
+                sink_vp = self.split.fragment(group.sink_fragment_id).virtual_pins[0]
+                sink_index[group.index] = row_of.setdefault(
+                    sink_vp, len(row_of) + 1
                 )
-            image_table = np.stack(rows)
+            images = self.images.render(list(row_of))
+            padding = np.zeros((1, *images.shape[1:]), dtype=np.uint8)
+            image_table = np.concatenate([padding, images])
 
         return FeatureTensors(
             vec=vec,
-            mask=self._mask_tensor(),
+            mask=mask,
             targets=self._target_tensor(),
             image_table=image_table,
             src_index=src_index,

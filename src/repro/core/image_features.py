@@ -16,188 +16,142 @@ of binary layer-bit planes at three scales:
 Rendered as a float-ready uint8 tensor of shape
 ``(n_scales * 2m, image_size, image_size)``.
 
-Rendering is **window-local**: each fragment's FEOL nodes are indexed
-sparsely once, and both the own-fragment and other-fragment bit planes
-are materialised only inside the ``image_size * max(scale)`` window
-around the pin.  All scales are centred crops of that one window and
-the multi-scale pooling is vectorised across layers, so the per-pin
-cost is O(window + fragment nodes), independent of the die area.  The
-previous dense full-die path is kept as ``render_reference`` and the
-parity tests assert the two are bit-identical.
+:meth:`ImageExtractor.render` draws a whole list of pins in one array
+pass, a bounded chunk of pins at a time.  Each pin gets one boolean
+window of ``image_size * max(scale)`` tracks per layer; every scale is a
+centred crop of it, pooled by OR-ing its strided slices.  A pixel shows
+other fragments' wiring where more nets than the pin's own occupy it,
+so the other-fragment window comes from two precomputed die-wide masks
+(at least one net, at least two nets) and the own-fragment window.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
-from ..split.fragments import Fragment, VirtualPin
+from ..split.fragments import VirtualPin
 from ..split.split import SplitLayout
 from .config import AttackConfig
 
+# Upper bound on one chunk's (m, pins, tracks, tracks) window array.
+_CHUNK_BYTES = 4 << 20
+
 
 class ImageExtractor:
-    """Renders and caches per-virtual-pin layout images for one layout."""
+    """Renders per-virtual-pin layout images for one split layout."""
 
     def __init__(self, split: SplitLayout, config: AttackConfig):
         self.split = split
         self.config = config
         self.m = split.split_layer
-        # occupancy[l-1, x, y] = number of nets with wiring at (l, x, y)
-        self.occupancy = split.occupancy_grids()
-        self._cache: dict[tuple[int, int, int], np.ndarray] = {}
-        # fragment_id -> (layer-1, x, y) arrays of FEOL nodes, built once
-        self._frag_nodes: dict[
-            int, tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = {}
+        self.tracks = config.image_size * max(config.image_scales)
+        # Die-wide "at least one net" / "at least two nets" masks, padded
+        # so that the window of a pin at (x, y) starts at index (x, y).
+        occupancy = split.occupancy_grids()
+        half = self.tracks // 2
+        pad = ((0, 0), (half, self.tracks - half), (half, self.tracks - half))
+        self._any = np.pad(occupancy >= 1, pad)
+        self._many = np.pad(occupancy >= 2, pad)
 
     @property
     def n_channels(self) -> int:
         return self.config.image_channels(self.m)
 
-    def image(self, fragment: Fragment, vp: VirtualPin) -> np.ndarray:
-        """(C, S, S) uint8 image stack for one virtual pin."""
-        key = (fragment.fragment_id, vp.x, vp.y)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        img = self._render(fragment, vp)
-        self._cache[key] = img
-        return img
-
-    def _render(self, fragment: Fragment, vp: VirtualPin) -> np.ndarray:
+    def render(self, pins: Sequence[VirtualPin]) -> np.ndarray:
+        """(len(pins), C, S, S) uint8 images, one per pin, in order."""
         size = self.config.image_size
-        scales = self.config.image_scales
-        tracks_max = size * max(scales)
-
-        own_win = self._own_window(fragment, vp.x, vp.y, tracks_max)
-        occ_win = _window_stack(self.occupancy, vp.x, vp.y, tracks_max)
-        other_win = (occ_win - own_win).clip(min=0)
-
-        planes: list[np.ndarray] = []
-        for scale in scales:
-            tracks = size * scale
-            off = tracks_max // 2 - tracks // 2
-            for win in (own_win, other_win):
-                crop = win[:, off : off + tracks, off : off + tracks]
-                # Own/other bits: highest layer first (most significant),
-                # hence the reversal of the layer axis.
-                planes.append(_pool_planes(crop, scale)[::-1])
-        return np.concatenate(planes).astype(np.uint8)
-
-    def _fragment_index(
-        self, fragment: Fragment
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sparse (layer-1, x, y) arrays of the fragment's FEOL nodes."""
-        idx = self._frag_nodes.get(fragment.fragment_id)
-        if idx is None:
-            nodes = [
-                (layer - 1, x, y)
-                for layer, x, y in fragment.nodes
-                if layer <= self.m
-            ]
-            if nodes:
-                arr = np.asarray(nodes, dtype=np.intp)
-                idx = (arr[:, 0], arr[:, 1], arr[:, 2])
-            else:
-                empty = np.zeros(0, dtype=np.intp)
-                idx = (empty, empty, empty)
-            self._frag_nodes[fragment.fragment_id] = idx
-        return idx
-
-    def _own_window(
-        self, fragment: Fragment, cx: int, cy: int, tracks: int
-    ) -> np.ndarray:
-        """(m, tracks, tracks) int16 own-fragment wiring around (cx, cy)."""
-        layers, xs, ys = self._fragment_index(fragment)
-        half = tracks // 2
-        x0, y0 = cx - half, cy - half
-        out = np.zeros((self.m, tracks, tracks), dtype=np.int16)
-        inside = (xs >= x0) & (xs < x0 + tracks) & (ys >= y0) & (ys < y0 + tracks)
-        out[layers[inside], xs[inside] - x0, ys[inside] - y0] = 1
+        out = np.zeros((len(pins), self.n_channels, size, size), dtype=np.uint8)
+        chunk = max(1, _CHUNK_BYTES // (self.m * self.tracks * self.tracks))
+        nodes = _NodeIndex(self.split, {vp.fragment_id for vp in pins}, self.m)
+        for lo in range(0, len(pins), chunk):
+            self._render_chunk(pins[lo : lo + chunk], nodes, out[lo : lo + chunk])
         return out
 
-    # -- reference renderer -----------------------------------------------
-    def render_reference(self, fragment: Fragment, vp: VirtualPin) -> np.ndarray:
-        """The original dense full-die renderer, kept as the ground truth
-        for the window-local fast path (see the parity tests)."""
+    def _render_chunk(
+        self, pins: Sequence[VirtualPin], nodes: "_NodeIndex", out: np.ndarray
+    ) -> None:
+        m, t = self.m, self.tracks
+        xs = np.fromiter((vp.x for vp in pins), np.intp, len(pins))
+        ys = np.fromiter((vp.y for vp in pins), np.intp, len(pins))
+        own = nodes.windows(pins, xs - t // 2, ys - t // 2, t)
+        # (m, B, T, T) windows.  A track shows other fragments' wiring
+        # where more nets occupy it than the pin's own fragment explains.
+        other = _windows(self._any, xs, ys, t) > own
+        other |= _windows(self._many, xs, ys, t)
+
         size = self.config.image_size
-        own = self._own_grid(fragment)
-        other = (self.occupancy - own).clip(min=0)
-
-        planes: list[np.ndarray] = []
-        for scale in self.config.image_scales:
+        for k, scale in enumerate(self.config.image_scales):
             tracks = size * scale
-            for layer in range(self.m, 0, -1):
-                window = _window(own[layer - 1], vp.x, vp.y, tracks)
-                planes.append(_pool_max(window, scale))
-            for layer in range(self.m, 0, -1):
-                window = _window(other[layer - 1], vp.x, vp.y, tracks)
-                planes.append(_pool_max(window, scale))
-        return np.stack(planes).astype(np.uint8)
-
-    def _own_grid(self, fragment: Fragment) -> np.ndarray:
-        """(m, W, H) int16 marking the fragment's own FEOL wiring."""
-        fp = self.split.design.floorplan
-        own = np.zeros((self.m, fp.width, fp.height), dtype=np.int16)
-        for layer, x, y in fragment.nodes:
-            if layer <= self.m:
-                own[layer - 1, x, y] = 1
-        return own
-
-    def cache_stats(self) -> dict[str, int]:
-        return {
-            "images": len(self._cache),
-            "bytes": sum(v.nbytes for v in self._cache.values()),
-        }
+            off = t // 2 - tracks // 2
+            crop = slice(off, off + tracks)
+            for j, window in enumerate((own, other)):
+                pooled = _pool_or(window[:, :, crop, crop], scale)
+                # Highest layer first (most significant bits).
+                first = (2 * k + j) * m
+                out[:, first : first + m] = pooled[::-1].transpose(1, 0, 2, 3)
 
 
-def _window(grid: np.ndarray, cx: int, cy: int, tracks: int) -> np.ndarray:
-    """Extract a ``tracks x tracks`` window centred at (cx, cy), padded
-    with zeros outside the die."""
-    half = tracks // 2
-    x0, y0 = cx - half, cy - half
-    out = np.zeros((tracks, tracks), dtype=grid.dtype)
-    gx0, gy0 = max(0, x0), max(0, y0)
-    gx1 = min(grid.shape[0], x0 + tracks)
-    gy1 = min(grid.shape[1], y0 + tracks)
-    if gx1 > gx0 and gy1 > gy0:
-        out[gx0 - x0 : gx1 - x0, gy0 - y0 : gy1 - y0] = grid[gx0:gx1, gy0:gy1]
-    return out
+class _NodeIndex:
+    """FEOL nodes of a set of fragments as flat arrays, fragment-contiguous."""
+
+    def __init__(self, split: SplitLayout, fragment_ids: set[int], m: int):
+        self.span: dict[int, tuple[int, int]] = {}
+        layer: list[int] = []
+        x: list[int] = []
+        y: list[int] = []
+        for fid in sorted(fragment_ids):
+            begin = len(layer)
+            for node_layer, nx, ny in split.fragment(fid).nodes:
+                if node_layer <= m:
+                    layer.append(node_layer - 1)
+                    x.append(nx)
+                    y.append(ny)
+            self.span[fid] = (begin, len(layer))
+        self.layer = np.asarray(layer, dtype=np.intp)
+        self.x = np.asarray(x, dtype=np.intp)
+        self.y = np.asarray(y, dtype=np.intp)
+        self.m = m
+
+    def windows(
+        self,
+        pins: Sequence[VirtualPin],
+        x0: np.ndarray,
+        y0: np.ndarray,
+        tracks: int,
+    ) -> np.ndarray:
+        """(m, B, T, T) bool: each pin's own-fragment wiring in its window."""
+        spans = np.array([self.span[vp.fragment_id] for vp in pins], dtype=np.intp)
+        counts = spans[:, 1] - spans[:, 0]
+        pin = np.repeat(np.arange(len(pins)), counts)
+        node = np.arange(counts.sum()) + np.repeat(
+            spans[:, 0] - (np.cumsum(counts) - counts), counts
+        )
+        u = self.x[node] - x0[pin]
+        v = self.y[node] - y0[pin]
+        inside = (u >= 0) & (u < tracks) & (v >= 0) & (v < tracks)
+        out = np.zeros((self.m, len(pins), tracks, tracks), dtype=bool)
+        out[self.layer[node][inside], pin[inside], u[inside], v[inside]] = True
+        return out
 
 
-def _window_stack(
-    grids: np.ndarray, cx: int, cy: int, tracks: int
-) -> np.ndarray:
-    """Like :func:`_window` but crops all layer planes of a (m, W, H)
-    stack at once."""
-    half = tracks // 2
-    x0, y0 = cx - half, cy - half
-    out = np.zeros((grids.shape[0], tracks, tracks), dtype=grids.dtype)
-    gx0, gy0 = max(0, x0), max(0, y0)
-    gx1 = min(grids.shape[1], x0 + tracks)
-    gy1 = min(grids.shape[2], y0 + tracks)
-    if gx1 > gx0 and gy1 > gy0:
-        out[:, gx0 - x0 : gx1 - x0, gy0 - y0 : gy1 - y0] = grids[
-            :, gx0:gx1, gy0:gy1
-        ]
-    return out
+def _windows(grid: np.ndarray, xs: np.ndarray, ys: np.ndarray, t: int) -> np.ndarray:
+    """(m, B, t, t) copies of the windows of a padded (m, W', H') grid
+    whose corners are at (xs, ys)."""
+    view = np.lib.stride_tricks.sliding_window_view(grid, (t, t), axis=(1, 2))
+    return view[:, xs, ys]
 
 
-def _pool_max(window: np.ndarray, scale: int) -> np.ndarray:
-    """Max-pool an (S*s, S*s) window to (S, S): a region's bit is set if
-    any of its tracks holds wiring."""
+def _pool_or(window: np.ndarray, scale: int) -> np.ndarray:
+    """OR-pool the last two axes of a boolean window by ``scale``: a
+    region's bit is set if any of its tracks holds wiring."""
     if scale == 1:
-        return (window > 0).astype(np.uint8)
-    size = window.shape[0] // scale
-    pooled = window.reshape(size, scale, size, scale).max(axis=(1, 3))
-    return (pooled > 0).astype(np.uint8)
-
-
-def _pool_planes(windows: np.ndarray, scale: int) -> np.ndarray:
-    """Max-pool an (m, S*s, S*s) window stack to (m, S, S) in one shot."""
-    if scale == 1:
-        return (windows > 0).astype(np.uint8)
-    m = windows.shape[0]
-    size = windows.shape[1] // scale
-    pooled = windows.reshape(m, size, scale, size, scale).max(axis=(2, 4))
-    return (pooled > 0).astype(np.uint8)
+        return window
+    rows = window[..., 0::scale, :].copy()
+    for a in range(1, scale):
+        rows |= window[..., a::scale, :]
+    pooled = rows[..., 0::scale].copy()
+    for a in range(1, scale):
+        pooled |= rows[..., a::scale]
+    return pooled

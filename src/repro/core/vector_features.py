@@ -29,99 +29,133 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cells.timing import (
-    driver_delay_ps,
-    load_lower_bound_ff,
-    load_upper_bound_ff,
-)
-from ..split.fragments import Fragment
+from ..cells.timing import TRACK_UM, WIRE_CAP_FF_PER_UM, WIRE_RES_KOHM_PER_UM
 from ..split.split import VPP, SplitLayout
 
 N_VECTOR_FEATURES = 27
 
 
-def vpp_vector_features(
-    split: SplitLayout,
-    vpp: VPP,
-    max_layers: int = 4,
-) -> np.ndarray:
-    """The 27-entry feature vector for one candidate VPP."""
-    sink = split.fragment(vpp.sink_fragment)
-    source = split.fragment(vpp.source_fragment)
-    fp = split.design.floorplan
+class VectorFeatures:
+    """The vector features of one split layout, as an array pass.
 
-    d_p, d_n = split.vpp_deltas(vpp)
-    signed = (float(d_p), float(d_n), float(d_p + d_n))
-    unsigned = (abs(signed[0]), abs(signed[1]), abs(signed[0]) + abs(signed[1]))
-    width, height, hp = float(fp.width), float(fp.height), float(fp.half_perimeter)
+    The per-fragment quantities (wirelength per layer, via count, sink
+    count, sink pin capacitances, driver cell) are computed once; the
+    27 columns of any list of VPPs are then gathered from them.  The
+    float64 operations run elementwise in the order of the scalar
+    formulas of :mod:`repro.cells.timing`, so a row equals the one the
+    per-VPP formula gives, bit for bit.
+    """
 
-    features = np.empty(N_VECTOR_FEATURES, dtype=np.float64)
-    features[0:3] = signed
-    features[3:6] = unsigned
-    features[6:9] = (signed[0] / width, signed[1] / height, signed[2] / hp)
-    features[9:12] = (unsigned[0] / width, unsigned[1] / height, unsigned[2] / hp)
+    def __init__(self, split: SplitLayout, max_layers: int = 4):
+        self.split = split
+        self.max_layers = max_layers
+        design = split.design
+        fragments = split.fragments
+        self._row = {f.fragment_id: i for i, f in enumerate(fragments)}
+        n_frag = len(fragments)
+        self.layer_wl = np.zeros((n_frag, max_layers))
+        self.total_wl = np.zeros(n_frag)
+        self.vias = np.zeros(n_frag)
+        self.n_sinks = np.zeros(n_frag)
+        # Python's sum over the sink fragment's pin caps (left to right),
+        # and the source fragment's own sink caps, zero-padded.
+        self.sink_caps = np.zeros(n_frag)
+        internal: list[list[float]] = []
+        self.has_driver = np.zeros(n_frag, dtype=bool)
+        self.max_load = np.zeros(n_frag)
+        self.drive_res = np.zeros(n_frag)
+        for i, frag in enumerate(fragments):
+            by_layer = frag.wirelength_by_layer()
+            for layer, length in by_layer.items():
+                if layer <= max_layers:
+                    self.layer_wl[i, layer - 1] = length
+            self.total_wl[i] = sum(by_layer.values())
+            self.vias[i] = sum(frag.vias_by_cut().values())
+            self.n_sinks[i] = frag.n_sinks
+            self.sink_caps[i] = sum(
+                design.sink_pin_capacitance(t) for t in frag.sinks
+            )
+            internal.append(
+                [design.sink_pin_capacitance(t) for t in frag.internal_sinks]
+            )
+            cell = design.driver_cell(frag.net)
+            if cell is not None:
+                self.has_driver[i] = True
+                self.max_load[i] = cell.max_load_ff
+                self.drive_res[i] = cell.drive_resistance_kohm
+        width = max((len(caps) for caps in internal), default=0)
+        self.internal_caps = np.zeros((n_frag, width))
+        for i, caps in enumerate(internal):
+            self.internal_caps[i, : len(caps)] = caps
 
-    cap_upper, cap_lower, delay = _electrical(split, source, sink)
-    features[12] = cap_upper
-    features[13] = cap_lower
-    features[14] = float(sink.n_sinks)
-
-    features[15 : 15 + max_layers] = _layer_wirelengths(source, max_layers)
-    features[15 + max_layers : 15 + 2 * max_layers] = _layer_wirelengths(
-        sink, max_layers
-    )
-    features[23] = float(sum(source.vias_by_cut().values()))
-    features[24] = float(sum(sink.vias_by_cut().values()))
-    features[25] = delay
-    features[26] = cap_upper - cap_lower
-    return features
-
-
-def _layer_wirelengths(fragment: Fragment, max_layers: int) -> np.ndarray:
-    out = np.zeros(max_layers)
-    for layer, length in fragment.wirelength_by_layer().items():
-        if layer <= max_layers:
-            out[layer - 1] = float(length)
-    return out
-
-
-def _electrical(
-    split: SplitLayout, source: Fragment, sink: Fragment
-) -> tuple[float, float, float]:
-    """(cap upper bound, cap lower bound, driver delay lower bound)."""
-    driver_cell = split.design.driver_cell(source.net)
-    sink_caps = [split.design.sink_pin_capacitance(t) for t in sink.sinks]
-    sink_caps += [
-        split.design.sink_pin_capacitance(t) for t in source.internal_sinks
-    ]
-    lower = load_lower_bound_ff(
-        sink_caps, source.total_wirelength, sink.total_wirelength
-    )
-    if driver_cell is None:  # primary input pad: use library-independent caps
-        upper = max(lower, 120.0)
-        delay = 0.0
-    else:
-        upper = load_upper_bound_ff(driver_cell)
-        delay = driver_delay_ps(
-            driver_cell, lower, wirelength_tracks=source.total_wirelength
+    def rows(self, vpps: list[VPP]) -> np.ndarray:
+        """(len(vpps), 27) float64 features, one row per VPP."""
+        split = self.split
+        fp = split.design.floorplan
+        sink = np.fromiter(
+            (self._row[v.sink_fragment] for v in vpps), np.intp, len(vpps)
         )
-    return upper, lower, delay
+        src = np.fromiter(
+            (self._row[v.source_fragment] for v in vpps), np.intp, len(vpps)
+        )
+        dx = np.fromiter(
+            (v.source_vp.x - v.sink_vp.x for v in vpps), np.float64, len(vpps)
+        )
+        dy = np.fromiter(
+            (v.source_vp.y - v.sink_vp.y for v in vpps), np.float64, len(vpps)
+        )
+        d_p, d_n = (dx, dy) if split.preferred_axis == 0 else (dy, dx)
+        signed = (d_p, d_n, d_p + d_n)
+        unsigned = (np.abs(d_p), np.abs(d_n), np.abs(d_p) + np.abs(d_n))
+        width, height = float(fp.width), float(fp.height)
+        hp = float(fp.half_perimeter)
+        L = self.max_layers
 
+        features = np.empty((len(vpps), N_VECTOR_FEATURES), dtype=np.float64)
+        features[:, 0:3] = np.stack(signed, axis=1)
+        features[:, 3:6] = np.stack(unsigned, axis=1)
+        for j, value in enumerate(signed + unsigned):
+            features[:, 6 + j] = value / (width, height, hp)[j % 3]
 
-def group_vector_features(
-    split: SplitLayout,
-    vpps: list[VPP],
-    n: int,
-    max_layers: int = 4,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Feature matrix (n, 27) and validity mask (n,) for one group,
-    right-padded with zeros to exactly ``n`` rows."""
-    features = np.zeros((n, N_VECTOR_FEATURES), dtype=np.float32)
-    mask = np.zeros(n, dtype=bool)
-    for i, vpp in enumerate(vpps[:n]):
-        features[i] = vpp_vector_features(split, vpp, max_layers)
-        mask[i] = True
-    return features, mask
+        cap_upper, cap_lower, delay = self._electrical(src, sink)
+        features[:, 12] = cap_upper
+        features[:, 13] = cap_lower
+        features[:, 14] = self.n_sinks[sink]
+        features[:, 15 : 15 + L] = self.layer_wl[src]
+        features[:, 15 + L : 15 + 2 * L] = self.layer_wl[sink]
+        features[:, 23] = self.vias[src]
+        features[:, 24] = self.vias[sink]
+        features[:, 25] = delay
+        features[:, 26] = cap_upper - cap_lower
+        return features
+
+    def _electrical(
+        self, src: np.ndarray, sink: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(cap upper bound, cap lower bound, driver delay lower bound).
+
+        The lower bound adds the sink fragment's pin caps, then the
+        source fragment's own sink caps one by one, then each
+        fragment's wire cap (``load_lower_bound_ff``); the delay is
+        ``driver_delay_ps`` over the source fragment's wire.
+        """
+        pin_caps = self.sink_caps[sink]
+        for k in range(self.internal_caps.shape[1]):
+            pin_caps = pin_caps + self.internal_caps[src, k]
+        src_wl = self.total_wl[src]
+        lower = (
+            pin_caps
+            + src_wl * TRACK_UM * WIRE_CAP_FF_PER_UM
+            + self.total_wl[sink] * TRACK_UM * WIRE_CAP_FF_PER_UM
+        )
+        driven = self.has_driver[src]
+        # Primary input pads: library-independent caps, no delay.
+        upper = np.where(driven, self.max_load[src], np.maximum(lower, 120.0))
+        c_wire = src_wl * TRACK_UM * WIRE_CAP_FF_PER_UM
+        r_wire = src_wl * TRACK_UM * WIRE_RES_KOHM_PER_UM
+        delay = self.drive_res[src] * (c_wire + lower)
+        delay += r_wire * lower / 2.0
+        return upper, lower, np.where(driven, delay, 0.0)
 
 
 class FeatureNormalizer:

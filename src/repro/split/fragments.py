@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..layout.design import Design
-from ..layout.geometry import Segment
 from ..layout.routing import NetRoute, Node, is_via_edge
 from ..netlist.netlist import Terminal
 
@@ -79,21 +78,6 @@ class Fragment:
     @property
     def total_wirelength(self) -> int:
         return sum(self.wirelength_by_layer().values())
-
-    def segments_on_layer(self, layer: int) -> list[Segment]:
-        """Maximal straight segments of this fragment on one layer."""
-        route = NetRoute(self.net, nodes=set(self.nodes), edges=set(self.edges))
-        return [s for s in route.segments() if s.layer == layer]
-
-    def split_layer_segments_at(self, xy: tuple[int, int], layer: int) -> list[Segment]:
-        """Split-layer segments incident to a virtual pin location."""
-        incident = []
-        for seg in self.segments_on_layer(layer):
-            if seg.direction == "H" and seg.y1 == xy[1] and seg.x1 <= xy[0] <= seg.x2:
-                incident.append(seg)
-            elif seg.direction == "V" and seg.x1 == xy[0] and seg.y1 <= xy[1] <= seg.y2:
-                incident.append(seg)
-        return incident
 
 
 def extract_fragments(

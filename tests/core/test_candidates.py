@@ -1,20 +1,42 @@
 """Candidate selection: direction criterion (Table 1 / Fig. 3),
 non-duplication, distance ranking."""
 
+import numpy as np
 import pytest
+from feature_oracle import select_candidates
 
-from repro.core import (
-    build_candidates,
-    candidate_recall,
-    direction_compatible,
-    prefers,
-    select_candidates,
-)
+from repro.core import build_candidates, candidate_recall
+from repro.core.candidates import direction_mask, pin_prefers, pin_table
 from repro.layout import build_layout, make_edge
 from repro.netlist import RandomLogicGenerator
-from repro.split import SINK, SOURCE, Fragment, VirtualPin, split_design
+from repro.split import SINK, SOURCE, Fragment, SplitLayout, VirtualPin, split_design
 
 SPLIT_LAYER = 3  # horizontal preferred direction
+
+
+def _offset(vp_p, vp_q):
+    return np.array(vp_q.x - vp_p.x), np.array(vp_q.y - vp_p.y)
+
+
+def prefers(fragment_p, vp_p, vp_q, split_layer):
+    """Pin p prefers pin q, through the pin table and ``pin_prefers``."""
+    table = pin_table([fragment_p], split_layer)
+    allowed = table.allowed[table.pins.index(vp_p)]
+    return bool(pin_prefers(*_offset(vp_p, vp_q), allowed))
+
+
+def direction_compatible(sink_frag, sink_vp, source_frag, source_vp, split_layer):
+    """The Table 1 filter for one VPP, through ``direction_mask``."""
+    sinks = pin_table([sink_frag], split_layer)
+    sources = pin_table([source_frag], split_layer)
+    dx, dy = _offset(sink_vp, source_vp)
+    keep = direction_mask(
+        dx.reshape(1, 1),
+        dy.reshape(1, 1),
+        sinks.allowed[[sinks.pins.index(sink_vp)]],
+        sources.allowed[[sources.pins.index(source_vp)]],
+    )
+    return bool(keep[0, 0])
 
 
 def line_fragment(fid, kind, points, vp_xy, layer=SPLIT_LAYER):
@@ -175,8 +197,15 @@ class TestSelectionOnRealLayouts:
             ] == [(v.sink_vp, v.source_vp) for v in b[key]]
 
     def test_select_candidates_respects_explicit_sources(self, split):
+        """A layout that keeps only some sources draws candidates from
+        them alone, exactly as the pairwise oracle does."""
         sink = split.sink_fragments[0]
         some_sources = split.source_fragments[:3]
-        vpps = select_candidates(split, sink, 10, some_sources)
+        sub = SplitLayout(
+            split.design, split.split_layer, split.sink_fragments + some_sources,
+            split.truth,
+        )
+        vpps = build_candidates(sub, 10)[sink.fragment_id]
         allowed = {f.fragment_id for f in some_sources}
         assert all(v.source_fragment in allowed for v in vpps)
+        assert vpps == select_candidates(split, sink, 10, some_sources)

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
+from feature_oracle import group_vector_features, render_reference
 
 from repro.core import AttackConfig, FeatureNormalizer, SplitDataset, make_batch
-from repro.core.dataset import feature_cache_dir
-from repro.core.vector_features import group_vector_features
+from repro.core.dataset import feature_cache_dir, feature_cache_key
 from repro.layout import build_layout
 from repro.netlist import RandomLogicGenerator
 from repro.split import split_design
@@ -61,10 +61,10 @@ class TestTensorShapes:
         src, sink = ds.group_images(group)
         for i, vpp in enumerate(group.vpps[: cfg.n_candidates]):
             frag = split.fragment(vpp.source_fragment)
-            expected = ds.images.image(frag, vpp.source_vp)
+            expected = render_reference(split, cfg, frag, vpp.source_vp)
             assert np.array_equal(src[i], expected.astype(np.float32))
         sink_frag = split.fragment(group.sink_fragment_id)
-        expected = ds.images.image(sink_frag, sink_frag.virtual_pins[0])
+        expected = render_reference(split, cfg, sink_frag, sink_frag.virtual_pins[0])
         assert np.array_equal(sink, expected.astype(np.float32))
 
 
@@ -124,3 +124,54 @@ class TestDiskCache:
     def test_cache_opt_out_parameter(self, split):
         SplitDataset(split, AttackConfig.tiny(), use_disk_cache=False)
         assert not list(feature_cache_dir().glob("*.npz"))
+
+
+class TestLazyCacheKey:
+    """The cache key serialises the whole layout, so it is computed only
+    when a disk cache is read or written."""
+
+    @pytest.fixture
+    def write_def_calls(self, monkeypatch):
+        from repro.layout import def_io
+
+        calls = []
+        original = def_io.write_def
+
+        def counting(design):
+            calls.append(design.name)
+            return original(design)
+
+        monkeypatch.setattr(def_io, "write_def", counting)
+        return calls
+
+    @pytest.fixture
+    def fresh_split(self):
+        # A layout of its own: the layout hash is memoised on the design.
+        nl = RandomLogicGenerator().generate("lazykey", 40, seed=5)
+        return split_design(build_layout(nl), 3)
+
+    def test_no_layout_serialisation_without_disk_cache(
+        self, fresh_split, write_def_calls
+    ):
+        ds = SplitDataset(fresh_split, AttackConfig.tiny(), use_disk_cache=False)
+        assert ds.tensors.vec.shape[0] == len(ds.groups)
+        assert write_def_calls == []
+
+    def test_no_layout_serialisation_with_cache_dir_unset(
+        self, fresh_split, write_def_calls, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", "")
+        SplitDataset(fresh_split, AttackConfig.tiny())
+        assert write_def_calls == []
+
+    def test_emb_cache_key_unchanged_with_disk_cache(self, fresh_split):
+        from repro.core import DLAttack
+
+        cfg = AttackConfig.tiny()
+        attack = DLAttack(cfg, split_layer=3)
+        ds = SplitDataset(fresh_split, cfg)
+        assert ds.cache_key == feature_cache_key(fresh_split, cfg)
+        attack._embedding_table(ds)
+        (emb,) = feature_cache_dir().glob("emb_*.npz")
+        assert emb.name == f"emb_{feature_cache_key(fresh_split, cfg)}_{attack._weights_tag()}.npz"
+        assert (feature_cache_dir() / f"{ds.cache_key}.npz").exists()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import AttackConfig, ImageExtractor
+from repro.core import AttackConfig, ImageExtractor, image_features
 from repro.layout import build_layout
 from repro.netlist import RandomLogicGenerator
 from repro.split import split_design
@@ -20,6 +20,11 @@ def extractor(split):
     return ImageExtractor(split, AttackConfig.tiny())
 
 
+def image(extractor, vp):
+    """(C, S, S) image of one pin."""
+    return extractor.render([vp])[0]
+
+
 class TestShapes:
     def test_channel_count_is_2m_per_scale(self, split, extractor):
         cfg = AttackConfig.tiny()
@@ -28,7 +33,7 @@ class TestShapes:
 
     def test_image_shape(self, split, extractor):
         frag = split.sink_fragments[0]
-        img = extractor.image(frag, frag.virtual_pins[0])
+        img = image(extractor, frag.virtual_pins[0])
         cfg = AttackConfig.tiny()
         assert img.shape == (
             extractor.n_channels, cfg.image_size, cfg.image_size
@@ -37,7 +42,7 @@ class TestShapes:
 
     def test_binary_planes(self, split, extractor):
         frag = split.sink_fragments[0]
-        img = extractor.image(frag, frag.virtual_pins[0])
+        img = image(extractor, frag.virtual_pins[0])
         assert set(np.unique(img)) <= {0, 1}
 
 
@@ -49,7 +54,7 @@ class TestSemantics:
         centre = cfg.image_size // 2
         m = split.split_layer
         for frag in split.sink_fragments[:10]:
-            img = extractor.image(frag, frag.virtual_pins[0])
+            img = image(extractor, frag.virtual_pins[0])
             # scale-1 block comes first; its own-fragment planes are
             # ordered highest layer first, so plane 0 is the split layer.
             assert img[0, centre, centre] == 1
@@ -64,7 +69,7 @@ class TestSemantics:
         occupancy = split.occupancy_grids()
         for frag in split.sink_fragments[:10]:
             vp = frag.virtual_pins[0]
-            img = extractor.image(frag, vp)
+            img = image(extractor, vp)
             occ_here = occupancy[m - 1, vp.x, vp.y]
             other_bit = img[m, centre, centre]  # other plane, split layer
             assert other_bit == (1 if occ_here > 1 else 0)
@@ -74,7 +79,7 @@ class TestSemantics:
         m = split.split_layer
         seen_other = 0
         for frag in split.sink_fragments[:20]:
-            img = extractor.image(frag, frag.virtual_pins[0])
+            img = image(extractor, frag.virtual_pins[0])
             if img[m : 2 * m].any():
                 seen_other += 1
         assert seen_other > 10
@@ -86,22 +91,28 @@ class TestSemantics:
         cfg = AttackConfig.tiny()
         per_scale = 2 * m
         frag = max(split.sink_fragments, key=lambda f: len(f.nodes))
-        img = extractor.image(frag, frag.virtual_pins[0])
+        img = image(extractor, frag.virtual_pins[0])
         scale1 = img[:per_scale].sum()
         # same channel block at the coarsest scale
         coarse = img[(cfg.n_scales - 1) * per_scale :].sum()
         assert coarse >= scale1 * 0.5  # wider window, denser bits
 
-    def test_caching_returns_same_array(self, split, extractor):
-        frag = split.sink_fragments[0]
-        a = extractor.image(frag, frag.virtual_pins[0])
-        b = extractor.image(frag, frag.virtual_pins[0])
-        assert a is b
+    def test_batch_render_matches_single_pins(self, split, extractor, monkeypatch):
+        """Rendering many pins at once (several chunks, repeated pins)
+        gives each pin the image it gets alone."""
+        window = split.split_layer * extractor.tracks ** 2
+        monkeypatch.setattr(image_features, "_CHUNK_BYTES", 7 * window)
+        pins = [vp for f in split.fragments for vp in f.virtual_pins][:40]
+        pins = pins + pins[:5]
+        batch = extractor.render(pins)
+        assert batch.shape[0] == len(pins)
+        for vp, img in zip(pins, batch):
+            assert np.array_equal(img, image(extractor, vp))
 
-    def test_cache_stats(self, split, extractor):
-        stats = extractor.cache_stats()
-        assert stats["images"] > 0
-        assert stats["bytes"] > 0
+    def test_render_empty_pin_list(self, extractor):
+        cfg = AttackConfig.tiny()
+        out = extractor.render([])
+        assert out.shape == (0, extractor.n_channels, cfg.image_size, cfg.image_size)
 
 
 class TestWindowEdges:
@@ -119,7 +130,7 @@ class TestWindowEdges:
         if corner_frag is None:
             pytest.skip("no corner virtual pin in this layout")
         frag, vp = corner_frag
-        img = extractor.image(frag, vp)
+        img = image(extractor, vp)
         # the off-die quadrant must be empty
         cfg = AttackConfig.tiny()
         c = cfg.image_size // 2

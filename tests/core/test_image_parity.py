@@ -1,9 +1,10 @@
-"""Engine parity: the window-local renderer must be bit-identical to
-the dense reference renderer, including window clipping at the die
-edge, across scale ladders."""
+"""Engine parity: the batch renderer must be bit-identical to the dense
+full-die reference renderer of ``feature_oracle``, including window
+clipping at the die edge, across scale ladders."""
 
 import numpy as np
 import pytest
+from feature_oracle import render_reference
 
 from repro.core import AttackConfig, ImageExtractor
 from repro.layout import build_layout
@@ -30,19 +31,18 @@ def test_every_pin_bit_identical(layouts, split_layer, scales):
     config = AttackConfig.tiny().with_(image_scales=scales)
     for design in layouts:
         split = split_design(design, split_layer)
-        extractor = ImageExtractor(split, config)
-        n_checked = 0
-        for frag in split.fragments:
-            for vp in frag.virtual_pins:
-                fast = extractor._render(frag, vp)
-                ref = extractor.render_reference(frag, vp)
-                assert fast.dtype == ref.dtype == np.uint8
-                assert np.array_equal(fast, ref), (
-                    f"mismatch at fragment {frag.fragment_id} pin "
-                    f"({vp.x},{vp.y}) scales={scales} M{split_layer}"
-                )
-                n_checked += 1
-        assert n_checked > 0
+        pins = [
+            (frag, vp) for frag in split.fragments for vp in frag.virtual_pins
+        ]
+        assert pins
+        batch = ImageExtractor(split, config).render([vp for _f, vp in pins])
+        assert batch.dtype == np.uint8
+        for (frag, vp), fast in zip(pins, batch):
+            ref = render_reference(split, config, frag, vp)
+            assert np.array_equal(fast, ref), (
+                f"mismatch at fragment {frag.fragment_id} pin "
+                f"({vp.x},{vp.y}) scales={scales} M{split_layer}"
+            )
 
 
 def test_edge_of_die_pins_bit_identical(layouts):
@@ -63,16 +63,15 @@ def test_edge_of_die_pins_bit_identical(layouts):
         frag, vp = min(
             pins, key=lambda p: abs(p[1].x - cx) + abs(p[1].y - cy)
         )
-        fast = extractor._render(frag, vp)
-        ref = extractor.render_reference(frag, vp)
+        fast = extractor.render([vp])[0]
+        ref = render_reference(split, config, frag, vp)
         assert np.array_equal(fast, ref)
 
 
-def test_cached_image_comes_from_fast_path(layouts):
+def test_single_pin_render_matches_reference(layouts):
     split = split_design(layouts[0], 3)
-    extractor = ImageExtractor(split, AttackConfig.tiny())
+    config = AttackConfig.tiny()
     frag = split.sink_fragments[0]
     vp = frag.virtual_pins[0]
-    img = extractor.image(frag, vp)
-    assert np.array_equal(img, extractor.render_reference(frag, vp))
-    assert extractor.image(frag, vp) is img
+    img = ImageExtractor(split, config).render([vp])[0]
+    assert np.array_equal(img, render_reference(split, config, frag, vp))
