@@ -1,10 +1,10 @@
 """Benchmark: defense ablation (the paper's future-work direction).
 
-Sweeps placement perturbation and net lifting on one design via
-:func:`repro.defense.run_defense_sweep`, measuring how the proximity
-attack degrades and what the defenses cost in wirelength — the
-security/PPA trade-off a defender navigates.  Every sweep point is an
-independent build-and-attack cell, so the sweep honours
+Sweeps placement perturbation and net lifting on one design through
+the ``defense-sweep`` grid (``Client().defense_sweep``), measuring how
+the proximity attack degrades and what the defenses cost in wirelength
+— the security/PPA trade-off a defender navigates.  Every sweep point
+is an independent build-and-attack cell, so the sweep honours
 ``REPRO_WORKERS`` for multi-process fan-out.  Written to
 ``results/defense_bench.txt``.
 """
@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.defense import run_defense_sweep
+from repro.api import Client
+from repro.pipeline import clear_memo
 
 from conftest import save_report
 
@@ -25,14 +26,31 @@ PERTURBATIONS = (4.0, 8.0, 16.0)
 LIFT_FRACTIONS = (0.25, 0.5)
 
 
+@pytest.fixture(scope="module", autouse=True)
+def scratch_layout_cache(tmp_path_factory):
+    """Defended layouts are built into a module temp cache: the sweep
+    times their construction, and they stay out of the committed warm
+    ``.repro_cache``."""
+    with pytest.MonkeyPatch.context() as patcher:
+        patcher.setenv(
+            "REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("defense_cache"))
+        )
+        clear_memo()
+        yield
+    clear_memo()
+
+
+def run_sweep_report(**kwargs):
+    with Client(backend="local", store=False) as client:
+        return client.defense_sweep(  # proximity only: keeps the budget
+            DESIGN, split_layer=SPLIT_LAYER, with_flow=False, **kwargs
+        ).report()
+
+
 @pytest.fixture(scope="module")
 def sweep_report():
-    report = run_defense_sweep(
-        DESIGN,
-        split_layer=SPLIT_LAYER,
-        perturbations=PERTURBATIONS,
-        lift_fractions=LIFT_FRACTIONS,
-        with_flow=False,  # proximity only: keeps the benchmark budget
+    report = run_sweep_report(
+        perturbations=PERTURBATIONS, lift_fractions=LIFT_FRACTIONS
     )
     save_report("defense_bench.txt", report.render())
     return report
@@ -42,14 +60,8 @@ def test_defense_sweep_runtime(benchmark):
     """Times the build-and-attack sweep itself (single point so the
     benchmark measures the real work, not table rendering)."""
     report = benchmark.pedantic(
-        run_defense_sweep,
-        args=(DESIGN,),
-        kwargs=dict(
-            split_layer=SPLIT_LAYER,
-            perturbations=(PERTURBATIONS[0],),
-            lift_fractions=(),
-            with_flow=False,
-        ),
+        run_sweep_report,
+        kwargs=dict(perturbations=(PERTURBATIONS[0],), lift_fractions=()),
         rounds=1,
         iterations=1,
     )

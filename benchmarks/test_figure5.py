@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eval import run_figure5, variant_config
+from repro.api import Client
+from repro.eval import variant_config
 from repro.pipeline import trained_attack
 
 from conftest import save_report
@@ -27,9 +28,10 @@ FIGURE5_DESIGNS = ["c432", "c880", "c1355", "b11", "b13"]
 
 @pytest.fixture(scope="module")
 def figure5_report(bench_config):
-    report = run_figure5(
-        designs=FIGURE5_DESIGNS, split_layer=3, config=bench_config
-    )
+    with Client(backend="local", store=False) as client:
+        report = client.figure5(
+            designs=FIGURE5_DESIGNS, split_layer=3, config=bench_config
+        ).report()
     save_report("figure5_bench.txt", report.render())
     return report
 
@@ -59,7 +61,7 @@ def test_regenerate_figure5(benchmark, figure5_report):
 def test_variant_inference_time(benchmark, variant, bench_config, split_of):
     """Figure 5(b): inference time per variant on one design."""
     attack = trained_attack(3, variant_config(bench_config, variant))
-    # Cache-free, like run_figure5: a warm feature/embedding cache would
+    # Cache-free, like the figure5 grid: a warm feature/embedding cache would
     # reduce all three variants to npz-load time.
     attack.use_disk_cache = False
     split = split_of("c880", 3)

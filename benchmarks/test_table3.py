@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Client
 from repro.attacks import NetworkFlowAttack
-from repro.eval import run_table3
 from repro.split import ccr
 
 from conftest import save_report
@@ -38,12 +38,13 @@ BENCH_FLOW_TIMEOUT_S = 10.0
 
 
 @pytest.fixture(scope="module")
-def table3_report(bench_config, dl_attack_m1, dl_attack_m3):
-    report = run_table3(
-        config=bench_config,
-        flow_timeout_s=BENCH_FLOW_TIMEOUT_S,
-        attacks={1: dl_attack_m1, 3: dl_attack_m3},
-    )
+def table3_report(bench_config):
+    # The M1/M3 attacks load from the same weight cache as the
+    # dl_attack_m1/m3 fixtures (benchmark config, default corpus).
+    with Client(backend="local", store=False) as client:
+        report = client.table3(
+            config=bench_config, flow_timeout_s=BENCH_FLOW_TIMEOUT_S
+        ).report()
     save_report("table3_bench.txt", report.render())
     return report
 

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Wall-clock benchmark of the Table 3 evaluation path.
 
-Times ``run_table3`` on a design subset with the benchmark config and a
-warm layout cache — the measurement behind the engine speedup numbers
-in ``results/perf_engine.txt``.  Run it against the current tree, or
-point PYTHONPATH at an older checkout to measure a baseline:
+Times the ``table3`` grid (``Client(backend="local").table3``) on a
+design subset with the benchmark config and a warm layout cache — the
+measurement behind the engine speedup numbers in
+``results/perf_engine.txt``.  Run it against the current tree, or point
+PYTHONPATH at an older checkout to measure a baseline:
 
     PYTHONPATH=src python scripts/bench_engine.py --label new-serial
     PYTHONPATH=/tmp/seedtree/src python scripts/bench_engine.py --label seed
@@ -25,15 +26,14 @@ the run and prints the hottest stacks.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import tempfile
 import time
 from pathlib import Path
 
+from repro.api import Client
 from repro.core import AttackConfig
-from repro.eval import run_table3
 from repro.obs.bench import BenchMetric, make_artifact, write_artifact
 from repro.obs.profile import SamplingProfiler
 
@@ -151,20 +151,16 @@ def golden_sweep(args) -> tuple[dict, list[BenchMetric]]:
 
 
 def full_table3(args) -> tuple[dict, list[BenchMetric]]:
-    config = AttackConfig.benchmark()
-    kwargs = dict(
-        designs=args.designs,
-        split_layers=tuple(args.layers),
-        config=config,
-        flow_timeout_s=args.flow_timeout,
-    )
-    # Older checkouts have no ``workers`` parameter; only pass it where
-    # it exists so the same script times both sides.
-    if "workers" in inspect.signature(run_table3).parameters:
-        kwargs["workers"] = args.workers
-
     start = time.perf_counter()
-    report = run_table3(**kwargs)
+    with Client(
+        backend="local", store=False, workers=args.workers
+    ) as client:
+        report = client.table3(
+            designs=args.designs,
+            split_layers=tuple(args.layers),
+            config=AttackConfig.benchmark(),
+            flow_timeout_s=args.flow_timeout,
+        ).report()
     elapsed = time.perf_counter() - start
 
     summary = {

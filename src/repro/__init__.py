@@ -16,7 +16,7 @@ The package is organised bottom-up:
   vector/image features, SplitNet and the DL attack;
 * :mod:`repro.defense` — placement/routing defenses (future work);
 * :mod:`repro.pipeline` — cached end-to-end flow orchestration;
-* :mod:`repro.eval` — harnesses regenerating Table 3 and Figure 5;
+* :mod:`repro.eval` — Table 3 and Figure 5 report types;
 * :mod:`repro.experiments` — scenario specs, grids, sweep engine,
   results store;
 * :mod:`repro.service` — attack-as-a-service (queue/scheduler/HTTP);

@@ -52,6 +52,16 @@ import json
 import sys
 
 
+def _worker_count(text: str) -> int:
+    """``--workers`` value: a non-negative integer (0 = all cores)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be >= 0 (0 = one per CPU core), got {value}"
+        )
+    return value
+
+
 def _open_client(args, backend: str = "local", events: bool = True):
     from repro.api import Client, message_printer
 
@@ -119,7 +129,7 @@ def _open_store(args):
 
 def cmd_attack(args) -> int:
     # Single-design runs go through the same facade as the big
-    # harnesses, so they share the layout/feature/weight caches, the
+    # grids, so they share the layout/feature/weight caches, the
     # --workers fan-out and the results store.
     with _open_client(args, events=False) as client:
         result = client.attack(
@@ -524,8 +534,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--out", help="write DEF-like layout here")
     p_build.set_defaults(fn=cmd_build)
 
-    workers_help = (
-        "worker processes (default: $REPRO_WORKERS or serial; 0 = all cores)"
+    workers_arg = dict(
+        type=_worker_count, default=None,
+        help="worker processes (default: $REPRO_WORKERS or serial; "
+        "0 = all cores)",
     )
     store_help = (
         "results store JSONL (default: $REPRO_RESULTS_DIR or "
@@ -540,9 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["proximity", "flow", "dl"],
         help="dl trains/loads the benchmark-config model (slow cold)",
     )
-    p_attack.add_argument(
-        "--workers", type=int, default=None, help=workers_help
-    )
+    p_attack.add_argument("--workers", **workers_arg)
     p_attack.add_argument("--store", default=None, help=store_help)
     p_attack.add_argument(
         "--fresh", action="store_true",
@@ -554,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_t3.add_argument("--designs", nargs="*", default=None)
     p_t3.add_argument("--layers", type=int, nargs="+", default=[1, 3])
     p_t3.add_argument("--flow-timeout", type=float, default=120.0)
-    p_t3.add_argument("--workers", type=int, default=None, help=workers_help)
+    p_t3.add_argument("--workers", **workers_arg)
     p_t3.add_argument("--store", default=None, help=store_help)
     p_t3.add_argument(
         "--no-store", action="store_true",
@@ -570,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_f5.add_argument(
         "--designs", nargs="+", default=["c432", "c880", "c1355", "b11"]
     )
-    p_f5.add_argument("--workers", type=int, default=None, help=workers_help)
+    p_f5.add_argument("--workers", **workers_arg)
     p_f5.add_argument("--store", default=None, help=store_help)
     p_f5.add_argument(
         "--no-store", action="store_true",
@@ -589,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-flow", action="store_true",
         help="skip the (slow) network-flow attack",
     )
-    p_def.add_argument("--workers", type=int, default=None, help=workers_help)
+    p_def.add_argument("--workers", **workers_arg)
     p_def.add_argument("--store", default=None, help=store_help)
     p_def.add_argument(
         "--no-store", action="store_true",
@@ -621,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="grid parameter (JSON value, comma list, or raw string); "
         "repeatable",
     )
-    p_sw.add_argument("--workers", type=int, default=None, help=workers_help)
+    p_sw.add_argument("--workers", **workers_arg)
     p_sw.add_argument("--store", default=None, help=store_help)
     p_sw.add_argument(
         "--fresh", action="store_true",
@@ -636,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument(
         "--port", type=int, default=8732, help="0 = ephemeral port"
     )
-    p_srv.add_argument("--workers", type=int, default=None, help=workers_help)
+    p_srv.add_argument("--workers", **workers_arg)
     p_srv.add_argument("--store", default=None, help=store_help)
     p_srv.add_argument(
         "--queue", default=None,
@@ -690,7 +700,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sub.add_argument(
         "--wait", action="store_true",
-        help="long-poll until the job finishes and print its records",
+        help="follow the job's event stream until it finishes and print "
+        "its records",
     )
     p_sub.add_argument("--timeout", type=float, default=3600.0)
     p_sub.set_defaults(fn=cmd_submit)

@@ -7,10 +7,11 @@ stays a DAG if something checks it.  Two rules share the import scan:
 * **layering** — every first-party *module-level* import must appear
   in the explicit allowed-dependency map below.  Function-level (lazy)
   imports are exempt: they are the codebase's sanctioned
-  cycle-breaking idiom (e.g. the legacy eval harnesses routing through
-  ``repro.api`` lazily), and they cannot create import cycles.  The
-  map is intentionally explicit rather than level-numbered so adding a
-  dependency is a reviewed one-line diff here, not an accident.
+  cycle-breaking idiom (e.g. ``repro.pipeline.flow`` building defended
+  layouts through ``repro.defense`` lazily), and they cannot create
+  import cycles.  The map is intentionally explicit rather than
+  level-numbered so adding a dependency is a reviewed one-line diff
+  here, not an accident.
 * **stdlib-only** — imports outside the standard library and the
   baked-in numeric allowlist (numpy, networkx, scipy) are errors:
   the deployment story is "clone and run", with no pip install.

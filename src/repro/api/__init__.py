@@ -1,8 +1,8 @@
 """repro.api — the public SDK: one Client, pluggable execution backends.
 
-The reproduction grew three disjoint ways to run the same attack
-(legacy harness functions, the DAG sweep engine, the HTTP service).
-This package is the single stable surface over all of them:
+The reproduction runs its attacks two ways (the DAG sweep engine in
+process, the HTTP attack service over it).  This package is the single
+stable surface over both:
 
 * :class:`Client` — accepts :class:`~repro.experiments.ScenarioSpec`
   objects, spec dicts, or registry grid names, plus high-level helpers
@@ -19,7 +19,7 @@ This package is the single stable surface over all of them:
   :meth:`ResultSet.diff` for sweep-vs-sweep regression checks);
 * :class:`~repro.api.events.ProgressEvent` — one streaming progress
   callback (``on_event``) unifying the engine's ``on_node`` hook with
-  the service's long-poll counters.
+  the service's SSE event stream.
 
 New workloads register a grid (:func:`repro.experiments.register`) and
 are immediately runnable on every backend; new execution strategies
@@ -49,7 +49,6 @@ from .events import (
     EVENT_KINDS,
     ProgressEvent,
     message_printer,
-    progress_adapter,
 )
 
 __all__ = [
@@ -71,5 +70,4 @@ __all__ = [
     "ResultSetDiff",
     "ServiceBackend",
     "message_printer",
-    "progress_adapter",
 ]

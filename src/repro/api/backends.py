@@ -80,7 +80,7 @@ class Backend:
     def run(self, job, timeout: float | None = None) -> BackendOutcome:
         """Block until the job is terminal.
 
-        ``timeout`` bounds the service backend's long-poll (the job
+        ``timeout`` bounds the service backend's wait (the job
         keeps running server-side after a :class:`TimeoutError`); the
         in-process backends execute the sweep in this call and are not
         preemptible, so they ignore it.
@@ -228,15 +228,11 @@ class ServiceBackend(Backend):
     Progress arrives by consuming the service's ``/jobs/<id>/events``
     SSE stream — every scheduler-side ``node``/``progress`` event lands
     in the job's ``on_event`` callback push-fashion, no polling loop.
-    If the stream cannot be used (older service, broken transport) the
-    backend degrades to the deprecated ``?wait=`` long-poll.
+    A stream that breaks is reopened once within the remaining
+    deadline; a second failure in a row raises :class:`BackendError`.
     """
 
     name = "service"
-
-    #: fallback long-poll chunk — short enough to surface progress
-    #: events promptly, long enough not to hammer the service.
-    POLL_CHUNK_S = 2.0
 
     def __init__(
         self,
@@ -322,80 +318,61 @@ class ServiceBackend(Backend):
         deadline = (
             None if timeout is None else time.monotonic() + timeout
         )
-        view = self._run_streaming(job, client, timeout)
-        if view is None:
-            # The event stream was unavailable or broke mid-job (older
-            # service, proxy stripping the stream, transient socket
-            # error) — the job is still running server-side, so degrade
-            # to the deprecated long-poll loop.
-            view = self._run_longpoll(job, client, deadline)
-        return self._finish(job, view)
+        # A broken stream is reopened once within the deadline: a fresh
+        # subscription of a finished job yields its terminal event at
+        # once, so no outcome is lost between the two streams.
+        for attempt in (1, 2):
+            remaining = (
+                None if deadline is None else deadline - time.monotonic()
+            )
+            if remaining is not None and remaining <= 0:
+                raise TimeoutError(f"job {job.job_id} still {job.status}")
+            try:
+                self._follow_stream(job, client, remaining)
+            except Exception as err:
+                if isinstance(err, TimeoutError) and (
+                    deadline is not None and time.monotonic() >= deadline
+                ):
+                    raise TimeoutError(
+                        f"job {job.job_id} still {job.status}"
+                    ) from None
+                log_event(
+                    "event_stream_error", job_id=job.job_id,
+                    error=repr(err), attempt=attempt,
+                )
+                last_error = err
+                continue
+            return self._finish(job, client.job(job.job_id))
+        raise BackendError(
+            f"event stream for job {job.job_id} failed twice: "
+            f"{last_error!r}"
+        )
 
-    def _run_streaming(self, job, client, timeout: float | None):
-        """Consume ``/jobs/<id>/events`` until the terminal event.
+    def _follow_stream(self, job, client, timeout: float | None) -> None:
+        """Consume ``/jobs/<id>/events`` up to the terminal event.
 
         Forwards ``node``/``progress``/``message`` events into the
         job's ``on_event`` stream as they arrive (no polling loop);
         skips the stream's ``submitted`` snapshot (:meth:`start`
         already emitted it) and the terminal event itself
         (:meth:`_finish` / ``Job.wait`` own terminal reporting).
-        Returns the job's final view, or None when the stream could
-        not be used and the caller should fall back to long-polling.
+        Raises :class:`ConnectionError` when the stream closes first.
         """
-        terminal = False
-        try:
-            for event in client.events(job.job_id, timeout=timeout):
-                kind = event.get("kind")
-                data = event.get("data") or {}
-                if kind in TERMINAL_STATES:
-                    job.status = kind
-                    terminal = True
-                    break
-                if kind in ("node", "progress", "message"):
-                    job.status = "running"
-                    job._emit(kind, event.get("message", ""), **data)
-        except TimeoutError:
-            raise TimeoutError(f"job {job.job_id} still {job.status}") \
-                from None
-        except Exception as err:
-            # Stream transport failed; fall back to long-polling, but
-            # leave a trace of why the cheap path was abandoned.
-            log_event(
-                "event_stream_error", job_id=job.job_id, error=repr(err)
-            )
-            return None
-        if not terminal:
-            return None  # stream ended early (service shutting down)
-        return client.job(job.job_id)
-
-    def _run_longpoll(self, job, client, deadline):
-        last_progress = None
-        while True:
-            wait = self.POLL_CHUNK_S
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TimeoutError(
-                        f"job {job.job_id} still {job.status}"
-                    )
-                wait = min(remaining, wait)
-            view = client.job(job.job_id, wait=wait)
-            job.status = view["status"]
-            progress = (
-                view.get("nodes_done"), view.get("nodes_total"),
-                view.get("reused"),
-            )
-            if progress != last_progress and progress[1] is not None:
-                last_progress = progress
+        for event in client.events(job.job_id, timeout=timeout):
+            kind = event.get("kind")
+            if kind in TERMINAL_STATES:
+                job.status = kind
+                return
+            if kind in ("node", "progress", "message"):
+                job.status = "running"
                 job._emit(
-                    "progress",
-                    f"{progress[0]}/{progress[1]} nodes",
-                    nodes_done=progress[0],
-                    nodes_total=progress[1],
-                    reused=progress[2],
+                    kind, event.get("message", ""),
+                    **(event.get("data") or {}),
                 )
-            if view["status"] in TERMINAL_STATES:
-                return view
+        raise ConnectionError(
+            f"event stream for job {job.job_id} closed before its "
+            "terminal event"
+        )
 
     def _finish(self, job, view) -> BackendOutcome:
         job.status = view["status"]

@@ -1,8 +1,8 @@
 """The one front door: ``Client`` + ``Job`` + ``ResultSet``.
 
-Every way of running the reproduction's attacks — the legacy harness
-helpers, the DAG sweep engine, the HTTP attack service — is reachable
-through one object::
+Every way of running the reproduction's attacks — the DAG sweep
+engine in process or the HTTP attack service — is reachable through
+one object::
 
     from repro.api import Client
 
@@ -200,7 +200,7 @@ class ResultSet:
         return matched
 
     def report(self):
-        """Grid-aware legacy report object (lazy).
+        """Grid-aware report object (lazy).
 
         ``table3`` grids yield a
         :class:`~repro.eval.table3.Table3Report`, ``figure5`` /
@@ -318,7 +318,7 @@ class Job:
     Lifecycle mirrors the service queue: ``queued`` -> ``running`` ->
     ``done`` | ``failed`` | ``cancelled``.  For the in-process backends
     the work runs inside :meth:`wait`; for the service backend the
-    work runs remotely and :meth:`wait` long-polls.
+    work runs remotely and :meth:`wait` follows its event stream.
     """
 
     def __init__(
@@ -362,7 +362,7 @@ class Job:
 
         Raises :class:`~repro.api.backends.JobCancelled` if the job was
         cancelled and :class:`~repro.api.backends.BackendError` if it
-        failed.  ``timeout`` bounds the service backend's long-poll
+        failed.  ``timeout`` bounds the service backend's wait
         (:class:`TimeoutError` when it elapses; the job keeps running
         server-side); the in-process backends execute the sweep inside
         this call and are not preemptible, so they ignore it.
@@ -616,7 +616,7 @@ class Client:
         flow_timeout_s: float = 120.0,
         **run_kwargs,
     ) -> ResultSet:
-        """The Table 3 suite; ``.report()`` yields the legacy report."""
+        """The Table 3 suite; ``.report()`` yields a ``Table3Report``."""
         return self.run(
             "table3",
             {
@@ -637,7 +637,13 @@ class Client:
         train_names=None,
         **run_kwargs,
     ) -> ResultSet:
-        """The Figure 5 ablation; ``.report()`` yields the legacy report."""
+        """The Figure 5 ablation; ``.report()`` yields a ``Figure5Report``.
+
+        On the local backend with ``workers`` > 1 the per-design
+        inference timings are wall-clock under CPU contention between
+        concurrent cells; run serially when the absolute Figure 5(b)
+        numbers matter.
+        """
         return self.run(
             "figure5",
             {
@@ -659,7 +665,7 @@ class Client:
         seed: int = 0,
         **run_kwargs,
     ) -> ResultSet:
-        """The defense sweep; ``.report()`` yields the legacy report."""
+        """The defense sweep; ``.report()`` yields a ``DefenseSweepReport``."""
         return self.run(
             "defense-sweep",
             {

@@ -1,13 +1,12 @@
 """Unified progress events for every execution backend.
 
-The three execution paths historically reported progress in three
-unrelated shapes: the sweep engine takes a ``progress(str)`` hook plus
-an ``on_node(node, value, seconds)`` callback, the service journals
-per-job node counters that clients read back over a long-poll, and the
-legacy harnesses printed strings.  The facade narrows all of them to
-one callable — ``on_event(event)`` — with a small, stable vocabulary
-of event kinds, so a caller observing an inline run and a caller
-long-polling a remote service write the same handler.
+The sweep engine reports progress through a ``progress(str)`` hook
+plus an ``on_node(node, value, seconds)`` callback, and the service
+streams per-job events over ``GET /jobs/<id>/events`` (SSE).  The
+facade narrows both to one callable — ``on_event(event)`` — with a
+small, stable vocabulary of event kinds, so a caller observing an
+inline run and a caller streaming a remote service's job write the
+same handler.
 
 Event kinds
 -----------
@@ -23,7 +22,7 @@ Event kinds
     closest the service's counters can be mapped onto).
 ``progress``
     Per-job node counters changed (``nodes_done``/``nodes_total``/
-    ``reused``) — the service long-poll's native shape; the in-process
+    ``reused``) — the service scheduler's native shape; the in-process
     backends emit one summary after the sweep finishes (their
     node-level granularity arrives as ``node`` events instead).
 ``done`` / ``failed`` / ``cancelled``
@@ -89,22 +88,5 @@ def message_printer(prefix: str = "  .. ", write=print):
     def on_event(event: ProgressEvent) -> None:
         if event.kind == "message" and event.message:
             write(f"{prefix}{event.message}")
-
-    return on_event
-
-
-def progress_adapter(progress):
-    """Wrap a legacy ``progress(str)`` hook as an ``on_event`` callable.
-
-    Only ``message`` events are forwarded — exactly the strings the
-    hook used to receive from the engine — so shimmed harness entry
-    points keep their historical output.
-    """
-    if progress is None:
-        return None
-
-    def on_event(event: ProgressEvent) -> None:
-        if event.kind == "message" and event.message:
-            progress(event.message)
 
     return on_event

@@ -3,7 +3,6 @@
 from .evaluation import (
     DefenseCell,
     DefenseSweepReport,
-    run_defense_sweep,
 )
 from .lifting import lifted_layout, lifted_net_names
 from .perturbation import DefenseReport, perturbed_layout
@@ -15,5 +14,4 @@ __all__ = [
     "lifted_layout",
     "lifted_net_names",
     "perturbed_layout",
-    "run_defense_sweep",
 ]

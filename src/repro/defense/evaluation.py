@@ -1,31 +1,19 @@
-"""Defense sweep harness: security/PPA trade-off under parallel attack.
+"""Defense sweep report: security/PPA trade-off under attack.
 
 The paper's conclusion points at placement- and routing-based defenses
-as future work; this harness quantifies both on one design.  Every
-sweep point — the undefended baseline, each placement-perturbation
-strength, each net-lifting fraction — is an independent
-build-layout -> split -> attack cell, so the sweep fans out over the
-multi-process executor (:mod:`repro.pipeline.parallel`): pass
-``workers=`` or set ``REPRO_WORKERS``.
+as future work; the ``defense-sweep`` registry grid quantifies both on
+one design.  Every sweep point — the undefended baseline, each
+placement-perturbation strength, each net-lifting fraction — is an
+independent build-layout -> split -> attack cell of the sweep engine;
+run it with ``Client().defense_sweep(design, ...)`` and read this
+report from ``.report()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..attacks.network_flow import NetworkFlowAttack
-from ..attacks.proximity import ProximityAttack
 from ..eval.tables import render_table
-from ..layout.design import build_layout
-from ..pipeline.flow import build_netlist
-from ..pipeline.parallel import parallel_map
-from ..split.metrics import ccr
-from ..split.split import split_design
-from .lifting import lifted_layout
-from .perturbation import perturbed_layout
-
-DEFAULT_PERTURBATIONS = (4.0, 8.0, 16.0)
-DEFAULT_LIFT_FRACTIONS = (0.25, 0.5)
 
 
 @dataclass
@@ -76,98 +64,3 @@ class DefenseSweepReport:
                 f"Defenses on {self.design}, split after M{self.split_layer}"
             ),
         )
-
-
-def _defense_cell_job(
-    design: str,
-    split_layer: int,
-    kind: str,
-    strength: float,
-    with_flow: bool,
-) -> DefenseCell:
-    """Worker job: build one (defended) layout and attack it."""
-    netlist = build_netlist(design)
-    if kind == "baseline":
-        layout = build_layout(netlist)
-        label = "undefended"
-    elif kind == "perturb":
-        layout = perturbed_layout(netlist, strength=strength)
-        label = f"perturb +-{strength:.0f} tracks"
-    elif kind == "lift":
-        layout = lifted_layout(netlist, lift_fraction=strength)
-        label = f"lift {int(100 * strength)}% of nets"
-    else:
-        raise ValueError(f"unknown defense kind {kind!r}")
-
-    split = split_design(layout, split_layer)
-    prox = ccr(split, ProximityAttack().attack(split).assignment)
-    flow = (
-        ccr(split, NetworkFlowAttack().attack(split).assignment)
-        if with_flow
-        else None
-    )
-    return DefenseCell(
-        label=label,
-        kind=kind,
-        strength=strength,
-        n_sink_fragments=len(split.sink_fragments),
-        hidden_pins=split.n_hidden_sink_pins,
-        ccr_proximity=prox,
-        ccr_flow=flow,
-        wirelength=layout.total_wirelength(),
-    )
-
-
-def run_defense_sweep(
-    design: str,
-    split_layer: int = 3,
-    perturbations: tuple[float, ...] = DEFAULT_PERTURBATIONS,
-    lift_fractions: tuple[float, ...] = DEFAULT_LIFT_FRACTIONS,
-    with_flow: bool = True,
-    workers: int | None = None,
-    progress=None,
-    store=None,
-    resume: bool = True,
-) -> DefenseSweepReport:
-    """Sweep the defenses on one design, one parallel job per layout.
-
-    Passing a ``store`` (:class:`repro.experiments.ResultsStore`)
-    routes the sweep through :class:`repro.api.Client` on the local
-    backend — this function is then a deprecated shim over the facade
-    (new code should call ``Client().defense_sweep(...)`` directly) —
-    via the ``defense-sweep`` registry grid: each defended layout is
-    built once and shared by the proximity and flow cells attacking it,
-    results land in the store, and completed cells resume from it.
-    """
-    if store is not None:
-        from ..api import Client, progress_adapter
-
-        with Client(backend="local", store=store, workers=workers) as client:
-            result = client.defense_sweep(
-                design,
-                split_layer=split_layer,
-                perturbations=perturbations,
-                lift_fractions=lift_fractions,
-                with_flow=with_flow,
-                resume=resume,
-                on_event=progress_adapter(progress),
-            )
-        return result.report()
-
-    jobs: list[tuple] = [(design, split_layer, "baseline", 0.0, with_flow)]
-    jobs += [
-        (design, split_layer, "perturb", s, with_flow) for s in perturbations
-    ]
-    jobs += [
-        (design, split_layer, "lift", f, with_flow) for f in lift_fractions
-    ]
-    cells = parallel_map(
-        _defense_cell_job,
-        jobs,
-        workers=workers,
-        progress=progress,
-        label="defense cells",
-    )
-    return DefenseSweepReport(
-        design=design, split_layer=split_layer, cells=cells
-    )

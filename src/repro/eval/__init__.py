@@ -1,18 +1,21 @@
-"""repro.eval — experiment harnesses regenerating the paper's tables/figures."""
+"""repro.eval — reports and helpers for the paper's tables/figures.
+
+The Table 3 and Figure 5 results are computed by the registry grids
+(``Client().table3(...)`` / ``Client().figure5(...)``); their
+``.report()`` returns the classes defined here.
+"""
 
 from .figure5 import (
     PAPER_CCR_GAINS,
     VARIANTS,
     Figure5Report,
     Figure5Result,
-    run_figure5,
     variant_config,
 )
 from .table3 import (
     DEFAULT_FLOW_TIMEOUT_S,
     Table3Report,
     Table3Row,
-    run_table3,
 )
 from .tables import fmt_or_na, render_bars, render_markdown_table, render_table
 from .timeout import TimedResult, Timeout, run_with_timeout
@@ -35,8 +38,6 @@ __all__ = [
     "render_bars",
     "render_markdown_table",
     "render_table",
-    "run_figure5",
-    "run_table3",
     "run_with_timeout",
     "variant_config",
 ]

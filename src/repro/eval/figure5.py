@@ -1,4 +1,4 @@
-"""Figure 5 harness: loss-function and image-feature ablation.
+"""Figure 5 report: loss-function and image-feature ablation.
 
 The paper's Figure 5 compares three settings on the M3 split:
 
@@ -9,8 +9,10 @@ The paper's Figure 5 compares three settings on the M3 split:
 * **Vec & Img** — softmax loss plus image features: 1.09x the baseline,
   at comparable inference time (Figure 5(b)).
 
-This harness trains the three variants on the same corpus and reports
-average CCR and average inference time over the attack designs.
+The ``figure5`` registry grid trains the three variants on the same
+corpus (:func:`variant_config`) and this report gives average CCR and
+average inference time over the attack designs — run it with
+``Client().figure5(...)`` and read the report from ``.report()``.
 """
 
 from __future__ import annotations
@@ -18,15 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.config import AttackConfig
-from ..pipeline.flow import (
-    cache_dir,
-    default_train_names,
-    get_split,
-    trained_attack,
-)
-from ..pipeline.parallel import parallel_map, resolve_workers
-from ..split.metrics import ccr
-from .table3 import _warm_layout_job
 from .tables import render_bars, render_table
 
 VARIANTS = ("two-class", "vec", "vec&img")
@@ -102,185 +95,3 @@ class Figure5Report:
             f"{table}\n\n(a) average CCR\n{chart_a}"
             f"\n\n(b) average inference time\n{chart_b}"
         )
-
-
-def _train_variant_job(
-    variant: str,
-    base: AttackConfig,
-    split_layer: int,
-    train_names: tuple[str, ...] | None,
-) -> str:
-    """Worker job: train (or load) one ablation variant's attack."""
-    trained_attack(
-        split_layer, variant_config(base, variant), train_names=train_names
-    )
-    return variant
-
-
-def _figure5_cell_job(
-    variant: str,
-    name: str,
-    base: AttackConfig,
-    split_layer: int,
-    train_names: tuple[str, ...] | None,
-) -> tuple[str, str, float, float]:
-    """Worker job: one (variant, design) evaluation from the disk cache."""
-    attack = trained_attack(
-        split_layer, variant_config(base, variant), train_names=train_names
-    )
-    split = get_split(name, split_layer)
-    # Figure 5(b) compares the *inference cost* of the variants, so the
-    # timed attack must actually extract features and run the conv
-    # tower — warm feature/embedding caches would otherwise report the
-    # image variant as free.
-    attack.use_disk_cache = False
-    result = attack.attack(split)
-    return variant, name, ccr(split, result.assignment), result.runtime_s
-
-
-def _run_figure5_parallel(
-    designs: list[str],
-    split_layer: int,
-    base: AttackConfig,
-    train_names: tuple[str, ...] | None,
-    workers: int,
-    progress,
-) -> Figure5Report:
-    report = Figure5Report(split_layer=split_layer)
-    if progress:
-        progress(f"parallel run: {workers} workers over {len(VARIANTS)} variants")
-    # Warm the layout cache first — eval designs and the training
-    # corpus — otherwise concurrent variant jobs would place-and-route
-    # the same designs repeatedly.
-    warm_names = list(designs) + [
-        n
-        for n in (train_names or default_train_names())
-        if n not in set(designs)
-    ]
-    parallel_map(
-        _warm_layout_job,
-        [(name,) for name in warm_names],
-        workers=workers,
-        progress=progress,
-        label="layouts",
-    )
-    parallel_map(
-        _train_variant_job,
-        [(v, base, split_layer, train_names) for v in VARIANTS],
-        workers=workers,
-        progress=progress,
-        label="variants",
-    )
-    cells = [
-        (variant, name, base, split_layer, train_names)
-        for variant in VARIANTS
-        for name in designs
-    ]
-    outcomes = parallel_map(
-        _figure5_cell_job,
-        cells,
-        workers=workers,
-        progress=progress,
-        label="cells",
-    )
-    for variant in VARIANTS:
-        ccrs = {n: c for v, n, c, _t in outcomes if v == variant}
-        total_time = sum(t for v, _n, _c, t in outcomes if v == variant)
-        report.results.append(
-            Figure5Result(
-                variant=variant,
-                avg_ccr=sum(ccrs.values()) / len(ccrs),
-                avg_inference_s=total_time / len(ccrs),
-                per_design_ccr=ccrs,
-            )
-        )
-    return report
-
-
-def run_figure5(
-    designs: list[str],
-    split_layer: int = 3,
-    config: AttackConfig | None = None,
-    train_names: tuple[str, ...] | None = None,
-    use_disk_cache: bool = True,
-    progress=None,
-    workers: int | None = None,
-    store=None,
-    resume: bool = True,
-) -> Figure5Report:
-    """Train the three Figure 5 variants and evaluate them.
-
-    ``workers`` > 1 (or ``REPRO_WORKERS``) trains the variants and runs
-    the per-design evaluations in parallel worker processes,
-    coordinated by the disk cache.  Note that with workers > 1 the
-    per-design inference timings are wall-clock under CPU contention
-    between concurrent cells; use a serial run when the absolute
-    Figure 5(b) numbers matter.
-
-    Passing a ``store`` (:class:`repro.experiments.ResultsStore`)
-    routes the run through :class:`repro.api.Client` on the local
-    backend — this function is then a deprecated shim over the facade
-    (new code should call ``Client().figure5(...)`` directly) — via the
-    ``figure5`` registry grid: one trained model per variant is shared
-    across every design cell, results land in the store, and completed
-    cells resume from it.
-    """
-    base = config or AttackConfig.fast()
-    # Like run_table3: the engine path shares trained variants between
-    # nodes through the weight cache, so it requires the disk cache.
-    if store is not None and use_disk_cache and cache_dir() is not None:
-        from ..api import Client, progress_adapter
-
-        with Client(backend="local", store=store, workers=workers) as client:
-            result = client.figure5(
-                designs=designs,
-                split_layer=split_layer,
-                config=base,
-                train_names=train_names,
-                resume=resume,
-                on_event=progress_adapter(progress),
-            )
-        return result.report()
-    if store is not None:
-        import warnings
-
-        warnings.warn(
-            "run_figure5: store= ignored (requires the disk cache); "
-            "results will not be recorded",
-            stacklevel=2,
-        )
-
-    n_workers = resolve_workers(workers)
-    if n_workers > 1 and use_disk_cache and cache_dir() is not None:
-        return _run_figure5_parallel(
-            designs, split_layer, base, train_names, n_workers, progress
-        )
-    report = Figure5Report(split_layer=split_layer)
-    splits = {name: get_split(name, split_layer, use_disk_cache) for name in designs}
-    for variant in VARIANTS:
-        if progress:
-            progress(f"training variant {variant}")
-        attack = trained_attack(
-            split_layer,
-            variant_config(base, variant),
-            train_names=train_names,
-            use_disk_cache=use_disk_cache,
-        )
-        # Cache-free inference: Figure 5(b) compares the variants'
-        # inference cost, which warm feature/embedding caches would hide.
-        attack.use_disk_cache = False
-        ccrs: dict[str, float] = {}
-        total_time = 0.0
-        for name, split in splits.items():
-            result = attack.attack(split)
-            ccrs[name] = ccr(split, result.assignment)
-            total_time += result.runtime_s
-        report.results.append(
-            Figure5Result(
-                variant=variant,
-                avg_ccr=sum(ccrs.values()) / len(ccrs),
-                avg_inference_s=total_time / len(ccrs),
-                per_design_ccr=ccrs,
-            )
-        )
-    return report

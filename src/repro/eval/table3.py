@@ -1,6 +1,8 @@
-"""Table 3 harness: flow attack vs DL attack on the 16-design suite.
+"""Table 3 report: flow attack vs DL attack on the 16-design suite.
 
-Reproduces, per design and per split layer (M1 and M3):
+The ``table3`` registry grid computes, per design and per split layer
+(M1 and M3) — run it with ``Client().table3(...)`` and read this report
+from ``.report()``:
 
 * the problem size (#Sk sink fragments, #Sc source fragments),
 * CCR of the network-flow attack [1] and of the DL attack,
@@ -17,22 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..attacks.network_flow import NetworkFlowAttack
-from ..core.attack import DLAttack
-from ..core.config import AttackConfig
-from ..netlist.benchmarks import TABLE3_BY_NAME, TABLE3_SPECS, PaperRow
-from ..pipeline.flow import (
-    attack_weight_path,
-    cache_dir,
-    default_train_names,
-    get_layout,
-    get_split,
-    trained_attack,
-)
-from ..pipeline.parallel import parallel_map, resolve_workers
-from ..split.metrics import ccr
+from ..netlist.benchmarks import PaperRow
 from .tables import fmt_or_na, render_markdown_table, render_table
-from .timeout import run_with_timeout
 
 # Scaled counterpart of the paper's 100 000 s cap.  The paper's budget
 # exceeds its largest per-design flow runtime (94 281 s) by ~6 %; ours
@@ -158,230 +146,3 @@ class Table3Report:
                     f"(paper: 1.21x / 0.001 on M1, 1.12x / 0.002 on M3)."
                 )
         return "\n\n".join(blocks)
-
-
-def _attack_design(
-    split, dl: DLAttack, flow_timeout_s: float, layer: int
-) -> Table3Row:
-    """One Table 3 cell: flow (with budget) + DL attack on one layout."""
-    flow = NetworkFlowAttack()
-    timed = run_with_timeout(lambda: flow.attack(split), flow_timeout_s)
-    if timed.timed_out:
-        flow_ccr, flow_rt = None, None
-    else:
-        flow_ccr = ccr(split, timed.value.assignment)
-        flow_rt = timed.value.runtime_s
-    dl_result = dl.attack(split)
-    spec = TABLE3_BY_NAME.get(split.name)
-    return Table3Row(
-        design=split.name,
-        split_layer=layer,
-        n_sink_fragments=len(split.sink_fragments),
-        n_source_fragments=len(split.source_fragments),
-        ccr_flow=flow_ccr,
-        ccr_dl=ccr(split, dl_result.assignment),
-        runtime_flow=flow_rt,
-        runtime_dl=dl_result.runtime_s,
-        paper=(spec.m1 if layer == 1 else spec.m3) if spec else None,
-    )
-
-
-def _warm_layout_job(name: str) -> str:
-    """Worker job: place-and-route one design into the disk cache."""
-    get_layout(name)
-    return name
-
-
-def _train_layer_job(
-    layer: int, config: AttackConfig, train_names: tuple[str, ...] | None
-) -> float:
-    """Worker job: train (or load) one layer's attack; returns seconds."""
-    attack = trained_attack(layer, config, train_names=train_names)
-    return attack.log.train_seconds
-
-
-def _table3_cell_job(
-    name: str,
-    layer: int,
-    config: AttackConfig,
-    train_names: tuple[str, ...] | None,
-    flow_timeout_s: float,
-) -> Table3Row:
-    """Worker job: one (design, layer) cell, loading everything from the
-    shared disk cache."""
-    split = get_split(name, layer)
-    dl = trained_attack(layer, config, train_names=train_names)
-    return _attack_design(split, dl, flow_timeout_s, layer)
-
-
-def _run_table3_parallel(
-    designs: list[str],
-    split_layers: tuple[int, ...],
-    config: AttackConfig,
-    train_names: tuple[str, ...] | None,
-    flow_timeout_s: float,
-    workers: int,
-    progress,
-    attacks: dict[int, DLAttack] | None,
-) -> Table3Report:
-    """Fan the suite out over processes, coordinated by the disk cache:
-    warm layouts, train per layer, then evaluate every (design, layer)
-    cell independently."""
-    report = Table3Report(flow_timeout_s=flow_timeout_s)
-
-    # Pre-trained attacks from the caller must reach the workers via the
-    # weight cache; overwrite any cached weights so the workers evaluate
-    # the caller's models, exactly like the serial path does.  Side
-    # effect (parallel path only): the supplied weights become the
-    # cached weights for this config fingerprint — callers injecting a
-    # model that differs from what trained_attack would produce for the
-    # same config should use a distinct config (e.g. via `extras`-free
-    # field changes) or the serial path.
-    if attacks:
-        for layer, dl in attacks.items():
-            path = attack_weight_path(config, layer, train_names)
-            if path is not None:
-                dl.save(path)
-
-    if progress:
-        progress(f"parallel run: {workers} workers over {len(designs)} designs")
-    train_jobs = [
-        (layer, config, train_names)
-        for layer in split_layers
-        if not (attacks and layer in attacks)
-    ]
-    # Warm every layout exactly once up front — including the training
-    # corpus when training still has to happen — so concurrent jobs
-    # never place-and-route the same design twice.
-    warm_names = list(designs)
-    if train_jobs:
-        warm_names += [
-            n
-            for n in (train_names or default_train_names())
-            if n not in set(warm_names)
-        ]
-    parallel_map(
-        _warm_layout_job,
-        [(name,) for name in warm_names],
-        workers=workers,
-        progress=progress,
-        label="layouts",
-    )
-    seconds = parallel_map(
-        _train_layer_job,
-        train_jobs,
-        workers=workers,
-        progress=progress,
-        label="training",
-    )
-    for (layer, _cfg, _names), train_s in zip(train_jobs, seconds):
-        report.train_seconds[layer] = train_s
-    for layer in split_layers:
-        if attacks and layer in attacks:
-            report.train_seconds[layer] = attacks[layer].log.train_seconds
-
-    cells = [
-        (name, layer, config, train_names, flow_timeout_s)
-        for layer in split_layers
-        for name in designs
-    ]
-    report.rows = parallel_map(
-        _table3_cell_job,
-        cells,
-        workers=workers,
-        progress=progress,
-        label="cells",
-    )
-    return report
-
-
-def run_table3(
-    designs: list[str] | None = None,
-    split_layers: tuple[int, ...] = (1, 3),
-    config: AttackConfig | None = None,
-    train_names: tuple[str, ...] | None = None,
-    flow_timeout_s: float = DEFAULT_FLOW_TIMEOUT_S,
-    use_disk_cache: bool = True,
-    progress=None,
-    attacks: dict[int, DLAttack] | None = None,
-    workers: int | None = None,
-    store=None,
-    resume: bool = True,
-) -> Table3Report:
-    """Regenerate Table 3 (or a subset of it).
-
-    ``workers`` > 1 (or ``REPRO_WORKERS``) fans the designs and split
-    layers out over worker processes; requires the disk cache.  The
-    parallel path produces CCRs identical to the serial one (the
-    computation is deterministic and coordinated only through the
-    cache).
-
-    Passing a ``store`` (:class:`repro.experiments.ResultsStore`)
-    routes the run through :class:`repro.api.Client` on the local
-    backend — this function is then a deprecated shim over the facade
-    (new code should call ``Client().table3(...)`` directly): the grid
-    comes from the ``table3`` registry entry, results are recorded in
-    the store, and completed scenarios are resumed from it instead of
-    recomputed.  CCRs are identical to the direct path (parity-tested).
-    """
-    config = config or AttackConfig.fast()
-    if designs is None:
-        designs = [spec.name for spec in TABLE3_SPECS]
-
-    # The engine path needs the disk cache: trained weights are shared
-    # between its train and eval nodes through the weight cache, so
-    # without one every DL cell would retrain.
-    if (
-        store is not None
-        and attacks is None
-        and use_disk_cache
-        and cache_dir() is not None
-    ):
-        from ..api import Client, progress_adapter
-
-        with Client(backend="local", store=store, workers=workers) as client:
-            result = client.table3(
-                designs=designs,
-                split_layers=split_layers,
-                config=config,
-                train_names=train_names,
-                flow_timeout_s=flow_timeout_s,
-                resume=resume,
-                on_event=progress_adapter(progress),
-            )
-        return result.report()
-    if store is not None:
-        import warnings
-
-        warnings.warn(
-            "run_table3: store= ignored (requires the disk cache and no "
-            "injected attacks); results will not be recorded",
-            stacklevel=2,
-        )
-
-    n_workers = resolve_workers(workers)
-    if n_workers > 1 and use_disk_cache and cache_dir() is not None:
-        return _run_table3_parallel(
-            designs, split_layers, config, train_names, flow_timeout_s,
-            n_workers, progress, attacks,
-        )
-
-    report = Table3Report(flow_timeout_s=flow_timeout_s)
-    for layer in split_layers:
-        if attacks and layer in attacks:
-            dl = attacks[layer]
-        else:
-            dl = trained_attack(
-                layer, config, train_names=train_names,
-                use_disk_cache=use_disk_cache,
-            )
-        report.train_seconds[layer] = dl.log.train_seconds
-        for name in designs:
-            split = get_split(name, layer, use_disk_cache)
-            if progress:
-                progress(f"M{layer} {name}: attacking "
-                         f"({len(split.sink_fragments)} sink fragments)")
-            report.rows.append(
-                _attack_design(split, dl, flow_timeout_s, layer)
-            )
-    return report

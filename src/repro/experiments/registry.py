@@ -2,10 +2,9 @@
 
 A *grid* is a function from a few parameters to a list of
 :class:`~repro.experiments.spec.ScenarioSpec` — the declarative form of
-an experiment campaign.  The legacy harnesses live here as registry
-entries (``table3``, ``figure5``, ``defense-sweep``) that reproduce
-their outputs exactly, alongside grids the bespoke harnesses never
-offered (``attack-matrix``, ``cross-defense``).  Registering a new
+an experiment campaign.  The paper's results are registry entries
+(``table3``, ``figure5``, plus the ``defense-sweep`` extension),
+alongside campaigns such as ``attack-matrix`` and ``cross-defense``.  Registering a new
 grid is the only step needed to make a new campaign runnable from the
 CLI (``python -m repro sweep <name>``) and queryable from the results
 store.
@@ -376,7 +375,7 @@ def cross_defense_grid(
     flow_timeout_s=120.0,
     seed=0,
 ):
-    """Cross product the bespoke harnesses never covered: how every
+    """Cross product of attacks, defenses and split layers: how every
     attack degrades under every defense at every split layer."""
     config = _as_config(config, AttackConfig.benchmark())
     defenses = _defense_points(perturbations, lift_fractions, seed)

@@ -1,9 +1,8 @@
-"""Report builders: results-store records -> legacy report objects.
+"""Report builders: results-store records -> report objects.
 
 The pretty-printing surface of the repo (``Table3Report``,
 ``Figure5Report``, ``DefenseSweepReport`` and their ``render``
-methods) predates the experiments subsystem and is kept as-is; these
-builders reconstruct those reports from :class:`ScenarioRecord` rows so
+methods) is built from :class:`ScenarioRecord` rows here, so
 formatters and scripts read the store instead of recomputing attacks.
 """
 

@@ -251,13 +251,10 @@ class SloEngine:
 
 
 #: Routes whose duration measures client patience, not server
-#: saturation: the profiler sleeps for its sampling window, the job
-#: long-poll parks until work finishes or ``wait`` expires, and the
-#: SSE stream stays open for the job's lifetime.  Counting them would
-#: trip the latency SLO on perfectly normal usage.
-BLOCKING_ROUTES = frozenset(
-    {"/debug/profile", "/jobs/<id>", "/jobs/<id>/events"}
-)
+#: saturation: the profiler sleeps for its sampling window and the SSE
+#: stream stays open for the job's lifetime.  Counting them would trip
+#: the latency SLO on perfectly normal usage.
+BLOCKING_ROUTES = frozenset({"/debug/profile", "/jobs/<id>/events"})
 
 
 def probe_p95_request_latency(context: SloContext) -> float | None:

@@ -1,23 +1,22 @@
 """Multi-process fan-out for the experiment pipeline.
 
-The evaluation suites (Table 3, Figure 5, the defense sweeps) decompose
-into independent cells — build-layout -> split -> train -> evaluate per
-(design, split layer) or per (variant, design) — whose only shared
-state is the deterministic disk cache of :mod:`repro.pipeline.flow`
-(layouts as DEF text, trained models as npz, feature tensors under
-``features/``).  That makes process-level parallelism safe: every
-worker recomputes-or-loads through the same cache keys, and cache
-writes are atomic, so the fan-out needs no locks and produces results
-identical to the serial path.
+The sweep engine's plan nodes (layout, features, train, eval) are
+independent jobs whose only shared state is the deterministic disk
+cache of :mod:`repro.pipeline.flow` (layouts as DEF text, trained
+models as npz, feature tensors under ``features/``).  That makes
+process-level parallelism safe: every worker recomputes-or-loads
+through the same cache keys, and cache writes are atomic, so the
+fan-out needs no locks and produces results identical to the serial
+path.
 
 Knobs
 -----
-* ``workers=`` parameter on :func:`parallel_map` and the harness entry
-  points (``run_table3``, ``run_figure5``, ``run_defense_sweep``, the
-  CLI ``--workers`` flags);
+* ``workers=`` on :class:`Executor`, ``Client(backend="local",
+  workers=...)``, the attack service and the CLI ``--workers`` flags;
 * ``REPRO_WORKERS`` environment variable — the default when
   ``workers`` is None (unset/empty means serial);
-* ``workers=0`` means "one per CPU core".
+* ``workers=0`` means "one per CPU core"; a negative count is an
+  error.
 
 Serial execution (``workers`` resolving to 1) never spawns processes,
 so the default behaviour and test determinism are unchanged.
@@ -34,7 +33,7 @@ from typing import Any, Callable, Sequence
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 
-__all__ = ["Executor", "parallel_map", "resolve_workers"]
+__all__ = ["Executor", "resolve_workers"]
 
 
 def _batch_metrics():
@@ -66,21 +65,28 @@ def _square_probe(x: int) -> int:
 def resolve_workers(workers: int | None = None) -> int:
     """Effective worker count: explicit arg > $REPRO_WORKERS > serial.
 
-    ``0`` (from either source) expands to the CPU count.
+    ``0`` (from either source) expands to the CPU count; a negative
+    count raises :class:`ValueError` naming its source.
     """
+    source = "workers"
     if workers is None:
         env = os.environ.get("REPRO_WORKERS", "").strip()
         if not env:
             return 1
+        source = "REPRO_WORKERS"
         try:
             workers = int(env)
         except ValueError:
             raise ValueError(
                 f"REPRO_WORKERS must be an integer, got {env!r}"
             ) from None
+    if workers < 0:
+        raise ValueError(
+            f"{source} must be >= 0 (0 = one per CPU core), got {workers}"
+        )
     if workers == 0:
         return os.cpu_count() or 1
-    return max(1, workers)
+    return workers
 
 
 def _mp_context():
@@ -94,13 +100,12 @@ def _mp_context():
 class Executor:
     """Reusable fan-out handle: one process pool across many ``map`` calls.
 
-    ``parallel_map`` spins a pool up and tears it down per call, which
-    is fine for a one-shot harness but wasteful for a long-running
-    caller (the attack service dispatches hundreds of small node
-    batches).  An :class:`Executor` resolves its worker count once and
-    keeps the pool alive until :meth:`close`; with an effective worker
-    count of 1 it never creates a pool at all, so serial behaviour and
-    determinism match the plain in-process path exactly.
+    A long-running caller (the attack service dispatches hundreds of
+    small node batches) must not pay for a pool per batch, so an
+    :class:`Executor` resolves its worker count once and keeps the pool
+    alive until :meth:`close`; with an effective worker count of 1 it
+    never creates a pool at all, so serial behaviour and determinism
+    match the plain in-process path exactly.
 
     Usable as a context manager.  Not thread-safe for concurrent
     ``map`` calls; callers serialise dispatch (the service scheduler
@@ -191,21 +196,3 @@ class Executor:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def parallel_map(
-    fn: Callable[..., Any],
-    jobs: Sequence[tuple],
-    workers: int | None = None,
-    progress: Callable[[str], None] | None = None,
-    label: str = "jobs",
-) -> list[Any]:
-    """Run ``fn(*job)`` for every job, preserving job order in the result.
-
-    With an effective worker count of 1 (the default), runs in-process
-    with no multiprocessing machinery at all.  ``fn`` must be a
-    module-level callable and the job tuples picklable when running
-    with more than one worker.  One-shot form of :class:`Executor`.
-    """
-    with Executor(workers) as executor:
-        return executor.map(fn, jobs, progress=progress, label=label)

@@ -18,7 +18,7 @@ The subsystem turns the blocking CLI sweep into a long-running service:
 * :class:`AttackService` — stdlib-only HTTP API
   (``http.server.ThreadingHTTPServer``): ``POST /jobs``,
   ``GET /jobs/<id>/events`` (SSE progress stream), ``GET /jobs/<id>``
-  (deprecated long-poll with ``?wait=``), ``DELETE /jobs/<id>``
+  (status snapshot), ``DELETE /jobs/<id>``
   (cancellation), paginated ``GET /results`` backed by
   :meth:`repro.experiments.ResultsStore.query` push-down; the job
   journal is compacted at startup (terminal jobs past a TTL are

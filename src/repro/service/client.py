@@ -3,11 +3,11 @@
 :class:`ServiceClient` wraps the service endpoints (submit, status,
 events, cancel, results, health) with plain ``urllib.request`` (stdlib
 only, like the server).  :meth:`ServiceClient.events` consumes the
-``GET /jobs/<id>/events`` SSE stream as an iterator of event dicts —
-the push-based replacement for the ``wait=`` long-poll.  :func:`run_load`
-replays a stream of submissions at configurable thread concurrency and
-reports latency percentiles — the measurement half of the service
-acceptance bar (``scripts/bench_service.py`` drives it).
+``GET /jobs/<id>/events`` SSE stream as an iterator of event dicts,
+and :meth:`ServiceClient.wait` follows it to the job's terminal event.
+:func:`run_load` replays a stream of submissions at configurable thread
+concurrency and reports latency percentiles — the measurement half of
+the service acceptance bar (``scripts/bench_service.py`` drives it).
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass, field
+
+from .queue import TERMINAL
 
 
 class ServiceClientError(RuntimeError):
@@ -75,11 +77,8 @@ class ServiceClient:
             payload["specs"] = specs
         return self._request("POST", "/jobs", payload)
 
-    def job(self, job_id: str, wait: float | None = None) -> dict:
-        path = f"/jobs/{job_id}"
-        if wait is not None:
-            path += f"?wait={wait:g}"
-        return self._request("GET", path)
+    def job(self, job_id: str) -> dict:
+        return self._request("GET", f"/jobs/{job_id}")
 
     def jobs(self) -> list[dict]:
         return self._request("GET", "/jobs")["jobs"]
@@ -89,18 +88,19 @@ class ServiceClient:
         return self._request("DELETE", f"/jobs/{job_id}")
 
     def wait(self, job_id: str, timeout: float = 300.0) -> dict:
-        """Long-poll until the job is terminal; raises on timeout."""
-        deadline = time.monotonic() + timeout
-        # Each long-poll chunk stays well under the HTTP timeout so the
-        # server's response always beats the socket deadline.
-        chunk = max(1.0, self.timeout / 2)
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(f"job {job_id} still running")
-            view = self.job(job_id, wait=min(remaining, chunk))
-            if view["status"] in ("done", "failed", "cancelled"):
-                return view
+        """Follow the job's event stream to its terminal event, then
+        return the final job view (records included when done).
+
+        Raises :class:`TimeoutError` when ``timeout`` passes first and
+        :class:`ConnectionError` when the stream closes without a
+        terminal event (the service shut down).
+        """
+        for event in self.events(job_id, timeout=timeout):
+            if event.get("kind") in TERMINAL:
+                return self.job(job_id)
+        raise ConnectionError(
+            f"event stream for job {job_id} closed before the job finished"
+        )
 
     def events(self, job_id: str, timeout: float | None = None):
         """Iterate one job's SSE stream as parsed event dicts.

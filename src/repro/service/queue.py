@@ -26,7 +26,7 @@ The in-memory view is a pure fold over the journal, which buys:
   ``repro serve`` processes — share one journal safely.
 * **cancellation** — :meth:`JobQueue.cancel` appends a ``cancel``
   event; the scheduler drops the job's pending nodes on its next
-  iteration and the long-poll returns immediately.
+  iteration.
 * **bounded growth** — :meth:`JobQueue.compact` drops terminal jobs
   older than a TTL and atomically rewrites the journal as one
   state-snapshot event per surviving job, *preserving live lease and
@@ -110,11 +110,6 @@ DEFAULT_COMPACT_TTL_S = 7 * 24 * 3600.0
 #: default claim lease: a claimant that fails to heartbeat for this
 #: long is presumed dead and its jobs become requeue-able.
 DEFAULT_LEASE_S = 30.0
-
-#: chunk for condition waits inside :meth:`JobQueue.wait` — bounds how
-#: stale a long-poll can be about events appended by *other processes*
-#: (in-process writers notify the condition directly).
-_WAIT_CHUNK_S = 0.5
 
 #: process-wide submission counter: with the pid it makes job ids
 #: unique across every queue instance sharing a journal (a per-queue
@@ -207,8 +202,8 @@ class JobQueue:
     Thread-safe; every mutation appends a journal event and then folds
     the journal tail back in (so concurrent writers in *other
     processes* are observed before the outcome is reported), and
-    :class:`threading.Condition` waiters (the long-poll handlers and
-    the schedulers) are notified on every state change.
+    :class:`threading.Condition` waiters (the schedulers) are notified
+    on every state change.
 
     ``clock`` (default :func:`time.time`) supplies every timestamp —
     lease expiry in particular — so tests can drive time
@@ -744,30 +739,3 @@ class JobQueue:
     def running(self) -> list[Job]:
         """Jobs currently claimed under a lease (for ``/healthz``)."""
         return [j for j in self.jobs() if j.status == "running"]
-
-    def wait(self, job_id: str, timeout: float | None = None) -> Job | None:
-        """Block until the job reaches a terminal state (long-poll).
-
-        Waits in bounded chunks and re-folds the journal between them,
-        so a terminal event appended by *another process* is observed
-        within :data:`_WAIT_CHUNK_S` even though it never notifies this
-        process's condition.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self.changed:
-            while True:
-                self._refresh()
-                job = self._jobs.get(job_id)
-                if job is None or job.done:
-                    return job
-                remaining = (
-                    None if deadline is None
-                    else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    return job
-                chunk = (
-                    _WAIT_CHUNK_S if remaining is None
-                    else min(remaining, _WAIT_CHUNK_S)
-                )
-                self.changed.wait(chunk)

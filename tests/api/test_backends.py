@@ -7,7 +7,7 @@ into its own fresh results store, and the resulting
 wall-clock-dependent fields (runtimes and telemetry) — everything a
 caller acts on must be bit-identical regardless of how the job was
 executed.  This test also drives ``Client(backend="service")`` fully
-end-to-end (spawned service, HTTP submit, long-poll) and is the CI
+end-to-end (spawned service, HTTP submit, SSE event stream) and is the CI
 smoke step for the service; it must finish in well under 10 s.
 """
 
@@ -18,8 +18,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import Client
+from repro.api import BackendError, Client
 from repro.pipeline import clear_memo
+from repro.service.client import ServiceClient
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 WARM_CACHE = REPO_ROOT / ".repro_cache"
@@ -165,3 +166,38 @@ def test_service_backend_resubmission_answers_from_store(
         assert again.outcome == "from_store"
         result = again.wait(timeout=30.0)
         assert len(result.records) == 2
+
+
+def test_service_backend_reopens_a_broken_event_stream(
+    warm_cache, monkeypatch
+):
+    """One dropped SSE stream costs nothing: the backend reopens it and
+    still returns the golden records."""
+    real_events = ServiceClient.events
+    calls = []
+
+    def flaky_events(self, job_id, timeout=None):
+        calls.append(job_id)
+        if len(calls) == 1:
+            raise ConnectionResetError("stream dropped")
+        return real_events(self, job_id, timeout=timeout)
+
+    monkeypatch.setattr(ServiceClient, "events", flaky_events)
+    golden = json.loads(GOLDEN_PATH.read_text())
+    result, events = run_backend("service", warm_cache / "svc", monkeypatch)
+    assert len(calls) == 2
+    assert [r.status for r in result.records] == ["ok", "ok"]
+    for spec, record in zip(result.specs, result.records):
+        assert record.ccr == golden[spec.scenario_hash]["ccr"]
+    assert [e.kind for e in events].count("done") == 1
+
+
+def test_service_backend_fails_after_two_broken_streams(
+    warm_cache, monkeypatch
+):
+    def broken_events(self, job_id, timeout=None):
+        raise ConnectionResetError("stream dropped")
+
+    monkeypatch.setattr(ServiceClient, "events", broken_events)
+    with pytest.raises(BackendError, match="failed twice"):
+        run_backend("service", warm_cache / "svc", monkeypatch)

@@ -1,18 +1,18 @@
-"""Table 3 / Figure 5 harnesses on a miniature corpus.
+"""Table 3 / Figure 5 reports on a miniature corpus.
 
-These run the *real* harness code end-to-end with tiny configs and
-tiny designs; the full-scale regeneration lives in benchmarks/.
+These run the registry grids end-to-end through ``Client`` with tiny
+configs and tiny designs; the full-scale regeneration lives in
+benchmarks/.
 """
 
 import pytest
 
+from repro.api import Client
 from repro.core import AttackConfig
 from repro.eval import (
     PAPER_CCR_GAINS,
     Table3Report,
     Table3Row,
-    run_figure5,
-    run_table3,
     variant_config,
 )
 from repro.netlist.benchmarks import PaperRow
@@ -35,17 +35,14 @@ class TestTable3Harness:
     @pytest.fixture(scope="class")
     def report(self):
         # class-scoped: one training run for all assertions
-        from repro.pipeline import trained_attack
-
-        attack = trained_attack(3, TINY, train_names=TRAIN, use_disk_cache=False)
-        return run_table3(
-            designs=["tiny_seq"],
-            split_layers=(3,),
-            config=TINY,
-            flow_timeout_s=30.0,
-            use_disk_cache=False,
-            attacks={3: attack},
-        )
+        with Client(store=False) as client:
+            return client.table3(
+                designs=["tiny_seq"],
+                split_layers=(3,),
+                config=TINY,
+                train_names=TRAIN,
+                flow_timeout_s=30.0,
+            ).report()
 
     def test_row_per_design_and_layer(self, report):
         assert len(report.rows) == 1
@@ -108,13 +105,13 @@ class TestFigure5Harness:
         assert PAPER_CCR_GAINS["vec&img"] == 1.09
 
     def test_tiny_run(self):
-        report = run_figure5(
-            designs=["tiny_seq"],
-            split_layer=3,
-            config=TINY,
-            train_names=TRAIN,
-            use_disk_cache=False,
-        )
+        with Client(store=False) as client:
+            report = client.figure5(
+                designs=["tiny_seq"],
+                split_layer=3,
+                config=TINY,
+                train_names=TRAIN,
+            ).report()
         assert [r.variant for r in report.results] == [
             "two-class", "vec", "vec&img",
         ]

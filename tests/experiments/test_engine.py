@@ -1,17 +1,13 @@
-"""Sweep engine: planning, artifact reuse, resume, harness parity.
+"""Sweep engine: planning, artifact reuse, resume, grids.
 
-All tests run on the tiny corpus with per-test isolated caches; the
-parity tests assert the registry-driven entries reproduce the direct
-harnesses' CCRs exactly (acceptance criterion of the experiments
-subsystem).
+All tests run on the tiny corpus with per-test isolated caches.
 """
 
 import pytest
 
+from repro.api import Client
 from repro.core import AttackConfig
 from repro.core.attack import DLAttack
-from repro.defense import run_defense_sweep
-from repro.eval import run_figure5, run_table3
 from repro.experiments import (
     DefenseSpec,
     ResultsStore,
@@ -205,72 +201,26 @@ class TestExecution:
         assert store.get(spec).status == "timeout"
 
 
-class TestHarnessParity:
-    """Registry-driven entries must reproduce the direct harness CCRs."""
+class TestTable3Resume:
+    """A store-backed Table 3 run through ``Client`` resumes in full."""
 
-    def test_table3_parity(self, tmp_path):
-        direct = run_table3(
+    def test_table3_grid_resumes_from_store(self, tmp_path):
+        store = ResultsStore(tmp_path / "exp.jsonl")
+        kwargs = dict(
             designs=["tiny_seq"], split_layers=(3,), config=TINY,
             train_names=TRAIN, flow_timeout_s=30.0,
         )
-        store = ResultsStore(tmp_path / "exp.jsonl")
-        engine = run_table3(
-            designs=["tiny_seq"], split_layers=(3,), config=TINY,
-            train_names=TRAIN, flow_timeout_s=30.0, store=store,
-        )
-        assert len(engine.rows) == len(direct.rows) == 1
-        d, e = direct.rows[0], engine.rows[0]
-        assert (e.design, e.split_layer) == (d.design, d.split_layer)
-        assert e.n_sink_fragments == d.n_sink_fragments
-        assert e.n_source_fragments == d.n_source_fragments
-        assert e.ccr_dl == d.ccr_dl
-        assert e.ccr_flow == d.ccr_flow
-        assert "tiny_seq" in engine.render()
-        # and the engine run is resumable: nothing re-executes
-        again = run_table3(
-            designs=["tiny_seq"], split_layers=(3,), config=TINY,
-            train_names=TRAIN, flow_timeout_s=30.0, store=store,
-        )
-        assert again.rows[0].ccr_dl == e.ccr_dl
+        with Client(backend="local", store=store) as client:
+            first = client.table3(**kwargs)
+            again = client.table3(**kwargs)
+        assert first.executed == 2 and first.reused == 0
+        assert again.executed == 0 and again.reused == 2
+        row, resumed = first.report().rows[0], again.report().rows[0]
+        assert (row.design, row.split_layer) == ("tiny_seq", 3)
+        assert resumed.ccr_dl == row.ccr_dl
+        assert resumed.ccr_flow == row.ccr_flow
+        assert "tiny_seq" in again.report().render()
         assert len(store.history()) == 2  # flow + dl, appended once
-
-    def test_figure5_parity(self, tmp_path):
-        direct = run_figure5(
-            designs=["tiny_seq"], split_layer=3, config=TINY,
-            train_names=TRAIN,
-        )
-        store = ResultsStore(tmp_path / "exp.jsonl")
-        engine = run_figure5(
-            designs=["tiny_seq"], split_layer=3, config=TINY,
-            train_names=TRAIN, store=store,
-        )
-        assert [r.variant for r in engine.results] == [
-            r.variant for r in direct.results
-        ]
-        for d, e in zip(direct.results, engine.results):
-            assert e.per_design_ccr == d.per_design_ccr
-            assert e.avg_ccr == d.avg_ccr
-            assert e.avg_inference_s > 0
-
-    def test_defense_parity(self, tmp_path):
-        kwargs = dict(
-            split_layer=3, perturbations=(4.0,), lift_fractions=(0.5,),
-            with_flow=True,
-        )
-        direct = run_defense_sweep("tiny_a", **kwargs)
-        store = ResultsStore(tmp_path / "exp.jsonl")
-        engine = run_defense_sweep("tiny_a", store=store, **kwargs)
-        assert [c.label for c in engine.cells] == [
-            c.label for c in direct.cells
-        ]
-        for d, e in zip(direct.cells, engine.cells):
-            assert e.kind == d.kind
-            assert e.ccr_proximity == d.ccr_proximity
-            assert e.ccr_flow == d.ccr_flow
-            assert e.n_sink_fragments == d.n_sink_fragments
-            assert e.hidden_pins == d.hidden_pins
-            assert e.wirelength == d.wirelength
-        assert engine.render() == direct.render()
 
 
 class TestGrids:

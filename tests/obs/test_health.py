@@ -167,19 +167,31 @@ class TestDefaultProbes:
         assert probe_p95_request_latency(context()) is None
 
     def test_p95_latency_ignores_blocking_by_design_routes(self):
-        # Long-polls, SSE streams and the profiler's sampling window
-        # block on purpose; their durations must not trip the SLO.
+        # SSE streams and the profiler's sampling window block on
+        # purpose; their durations must not trip the SLO.
         registry = obs_metrics.MetricsRegistry()
         hist = registry.histogram(
             "repro_http_request_seconds", "Latency", labels=("route",),
         )
-        for route in ("/debug/profile", "/jobs/<id>", "/jobs/<id>/events"):
+        for route in ("/debug/profile", "/jobs/<id>/events"):
             for _ in range(100):
                 hist.labels(route=route).observe(25.0)
         for _ in range(100):
             hist.labels(route="/results").observe(0.01)
         value = probe_p95_request_latency(context(registry=registry))
         assert value is not None and value < 0.5
+
+    def test_p95_latency_counts_job_status_reads(self):
+        # GET /jobs/<id> answers at once, so a slow one is server
+        # saturation and must reach the SLO.
+        registry = obs_metrics.MetricsRegistry()
+        hist = registry.histogram(
+            "repro_http_request_seconds", "Latency", labels=("route",),
+        )
+        for _ in range(100):
+            hist.labels(route="/jobs/<id>").observe(5.0)
+        value = probe_p95_request_latency(context(registry=registry))
+        assert value is not None and value > 1.0
 
     def test_p95_latency_all_blocking_traffic_reads_no_data(self):
         registry = obs_metrics.MetricsRegistry()

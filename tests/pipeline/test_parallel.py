@@ -1,12 +1,11 @@
 """Multi-process executor: worker resolution, fan-out, and the
 serial-vs-parallel parity guarantee on the tiny designs."""
 
-import numpy as np
 import pytest
 
+from repro.api import Client
 from repro.core import AttackConfig
-from repro.eval import run_table3
-from repro.pipeline import clear_memo, parallel_map, resolve_workers
+from repro.pipeline import Executor, clear_memo, resolve_workers
 from repro.pipeline.parallel import _square_probe
 
 
@@ -39,34 +38,51 @@ class TestResolveWorkers:
         with pytest.raises(ValueError, match="REPRO_WORKERS"):
             resolve_workers(None)
 
+    def test_negative_count_raises(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "-2")
+        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+            resolve_workers(None)
+        with pytest.raises(ValueError, match="workers"):
+            resolve_workers(-1)
+
 
 class TestParallelMap:
+    """``Executor.map``: the one fan-out primitive."""
+
     def test_serial_path(self):
-        assert parallel_map(_square_probe, [(i,) for i in range(5)]) == [
-            0, 1, 4, 9, 16,
-        ]
+        with Executor() as executor:
+            result = executor.map(_square_probe, [(i,) for i in range(5)])
+        assert result == [0, 1, 4, 9, 16]
 
     def test_parallel_preserves_order(self):
         jobs = [(i,) for i in range(8)]
-        assert parallel_map(_square_probe, jobs, workers=4) == [
-            i * i for i in range(8)
-        ]
+        with Executor(4) as executor:
+            assert executor.map(_square_probe, jobs) == [
+                i * i for i in range(8)
+            ]
 
     def test_progress_callback(self):
         seen = []
-        parallel_map(
-            _square_probe, [(1,), (2,)], workers=2, progress=seen.append
-        )
+        with Executor(2) as executor:
+            executor.map(
+                _square_probe, [(1,), (2,)], progress=seen.append
+            )
         assert len(seen) == 2
 
     def test_empty_jobs(self):
-        assert parallel_map(_square_probe, [], workers=4) == []
+        with Executor(4) as executor:
+            assert executor.map(_square_probe, []) == []
 
 
 class TestSerialParallelParity:
     """Table 3 CCRs must not depend on the execution strategy."""
 
-    def test_tiny_table3_identical(self):
+    @staticmethod
+    def _table3(workers: int, **kwargs):
+        with Client(backend="local", store=False, workers=workers) as client:
+            return client.table3(**kwargs).report()
+
+    def test_tiny_table3_identical(self, tmp_path, monkeypatch):
         config = AttackConfig.tiny().with_(epochs=2)
         kwargs = dict(
             designs=["tiny_a", "tiny_seq"],
@@ -75,9 +91,12 @@ class TestSerialParallelParity:
             train_names=("tiny_a", "tiny_b"),
             flow_timeout_s=60.0,
         )
-        serial = run_table3(workers=1, **kwargs)
+        serial = self._table3(1, **kwargs)
+        # A fresh cache: the pool run must rebuild layouts and retrain
+        # in worker processes, not load the serial run's artifacts.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache2"))
         clear_memo()
-        parallel = run_table3(workers=2, **kwargs)
+        parallel = self._table3(2, **kwargs)
         assert len(serial.rows) == len(parallel.rows) == 2
         for s, p in zip(serial.rows, parallel.rows):
             assert s.design == p.design

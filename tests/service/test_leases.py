@@ -56,7 +56,11 @@ def prox(design, **kw):
 
 
 def wait_done(queue, job_id, timeout=30.0):
-    job = queue.wait(job_id, timeout=timeout)
+    deadline = time.monotonic() + timeout
+    job = queue.get(job_id)
+    while job is not None and not job.done and time.monotonic() < deadline:
+        time.sleep(0.01)
+        job = queue.get(job_id)
     assert job is not None and job.done, f"job stuck: {job and job.status}"
     return job
 
@@ -231,9 +235,9 @@ class TestSharedJournal:
         # ... but once w1's claim line is down, q2 must lose the race.
         assert q2.claim(worker="w2", lease_s=LEASE) is None
         assert q2.get(job.job_id).claimed_by == "w1"
-        # Terminal events propagate the same way (wait() re-tails).
+        # Terminal events propagate the same way (get() re-tails).
         q1.complete(job.job_id, telemetry={"executed": 1})
-        done = q2.wait(job.job_id, timeout=2.0)
+        done = q2.get(job.job_id)
         assert done.status == "done"
         assert done.telemetry == {"executed": 1}
 

@@ -156,11 +156,11 @@ class TestPersistence:
         assert queue.cancel(job.job_id) is True
         assert job.status == "cancelled" and job.done
         assert job.finished_at > 0
-        # Terminal: a second cancel is a no-op, the scheduler never
-        # claims it, and the long-poll returns immediately.
+        # Terminal: a second cancel is a no-op and the scheduler never
+        # claims it.
         assert queue.cancel(job.job_id) is False
         assert queue.claim() is None
-        assert queue.wait(job.job_id, timeout=0.01).status == "cancelled"
+        assert queue.get(job.job_id).status == "cancelled"
         # A replaying reader converges on the cancellation and does not
         # requeue the job.
         reloaded = JobQueue(queue_path)
@@ -181,13 +181,14 @@ class TestPersistence:
     def test_cancel_unknown_job_is_false(self, queue_path):
         assert JobQueue(queue_path).cancel("job-nope") is False
 
-    def test_wait_times_out_then_completes(self, queue_path):
+    def test_status_reads_queued_then_done(self, queue_path):
         queue = JobQueue(queue_path)
         job, _ = queue.submit([prox("tiny_a")])
-        assert queue.wait(job.job_id, timeout=0.01).status == "queued"
+        assert queue.get(job.job_id).status == "queued"
         queue.claim()
         queue.complete(job.job_id)
-        assert queue.wait(job.job_id, timeout=0.01).status == "done"
+        assert queue.get(job.job_id).status == "done"
+        assert JobQueue(queue_path).get(job.job_id).status == "done"
 
 
 class TestCompaction:

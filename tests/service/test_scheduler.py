@@ -27,7 +27,11 @@ def prox(design, **kw):
 
 
 def wait_done(queue, job_id, timeout=30.0):
-    job = queue.wait(job_id, timeout=timeout)
+    deadline = time.monotonic() + timeout
+    job = queue.get(job_id)
+    while job is not None and not job.done and time.monotonic() < deadline:
+        time.sleep(0.01)
+        job = queue.get(job_id)
     assert job is not None and job.done, f"job stuck: {job and job.status}"
     return job
 

@@ -3,7 +3,8 @@
 The golden test is the service acceptance bar and the CI smoke test:
 start the server on an ephemeral port against the committed warm
 ``.repro_cache``, submit the golden two-scenario sweep over HTTP,
-long-poll, and compare against ``tests/experiments/golden_sweep.json``
+follow its SSE event stream to the end, and compare against
+``tests/experiments/golden_sweep.json``
 bit-for-bit; a resubmission must be answered from the store without
 scheduling any DAG node.  Runs serially in well under 10 seconds.
 """
@@ -75,7 +76,7 @@ def test_golden_sweep_over_http(warm_service):
     assert out["outcome"] == "queued"
     view = client.wait(out["job"]["job_id"], timeout=10.0)
     elapsed = time.monotonic() - started
-    assert elapsed < 10.0, f"golden long-poll took {elapsed:.1f}s"
+    assert elapsed < 10.0, f"golden wait took {elapsed:.1f}s"
     assert view["status"] == "done"
 
     by_hash = {r["scenario_hash"]: r for r in view["records"]}
@@ -159,8 +160,8 @@ def test_cancel_over_http(monkeypatch, tmp_path):
         cancelled = client.cancel(job_id)
         assert cancelled["outcome"] == "cancelled"
         assert cancelled["job"]["status"] == "cancelled"
-        # Terminal: the long-poll returns immediately and a second
-        # DELETE is a no-op.
+        # Terminal: the event stream ends at once and a second DELETE
+        # is a no-op.
         view = client.wait(job_id, timeout=5.0)
         assert view["status"] == "cancelled"
         assert client.cancel(job_id)["outcome"] == "noop"
@@ -199,6 +200,22 @@ def test_startup_compaction_bounds_the_journal(monkeypatch, tmp_path):
     finally:
         svc.scheduler.executor.close()
         svc.httpd.server_close()
+
+
+def test_job_status_rejects_wait_parameter(service):
+    """A status read answers at once; a request that asks it to wait
+    is pointed at the event stream."""
+    client = ServiceClient(service.url, timeout=10.0)
+    out = client.submit(specs=[
+        {"design": "tiny_a", "split_layer": 3, "attack": "proximity"},
+    ])
+    job_id = out["job"]["job_id"]
+    for query in ("wait=1", "wait="):
+        with pytest.raises(ServiceClientError) as err:
+            client._request("GET", f"/jobs/{job_id}?{query}")
+        assert err.value.status == 400
+        assert "/jobs/<id>/events" in str(err.value)
+    assert client.wait(job_id, timeout=60.0)["status"] == "done"
 
 
 def test_http_error_paths(service):

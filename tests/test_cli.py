@@ -35,6 +35,13 @@ class TestParser:
             parser.parse_args(["migrate-store", "a.jsonl", "b.sqlite"]).fn
         )
 
+    def test_negative_workers_is_a_usage_error(self, capsys):
+        parser = build_parser()
+        assert parser.parse_args(["table3", "--workers", "0"]).workers == 0
+        with pytest.raises(SystemExit):
+            parser.parse_args(["table3", "--workers", "-1"])
+        assert "--workers: must be >= 0" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_info(self, capsys):
